@@ -16,6 +16,13 @@
 //! **conditional, indirect, soft** PerfConf (`Y-N-N`): it only matters
 //! while a `du` runs, and the deputy is the number of inodes actually
 //! traversed in a quantum.
+//!
+//! The [`Namespace`] stores its inodes in depth-first pre-order with
+//! running totals of directories and file bytes, so a [`TraversalCursor`]
+//! summarizes each lock quantum in O(1) whatever the limit; the namenode
+//! charges lock time per inode, so simulated time is unchanged. The tree
+//! is append-only: children may only be added under the open path (the
+//! root, the latest directory and the directories between them).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,5 +32,5 @@ mod namespace;
 pub mod scenario;
 
 pub use namenode::{NamenodeEvent, NamenodeModel};
-pub use namespace::{ContentSummary, Inode, InodeId, Namespace, TraversalCursor};
+pub use namespace::{ContentSummary, InodeId, Namespace, TraversalCursor};
 pub use scenario::Hd4995;

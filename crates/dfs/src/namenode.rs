@@ -225,7 +225,7 @@ impl Model for NamenodeModel {
                 let now = ctx.now();
                 let request = DuRequest {
                     arrived: now,
-                    cursor: TraversalCursor::new(self.namespace.root()),
+                    cursor: TraversalCursor::new(&self.namespace, self.namespace.root()),
                     summary: ContentSummary::default(),
                 };
                 if self.active.is_none() {
@@ -308,7 +308,8 @@ mod tests {
     use super::*;
     use smartconf_simkernel::Simulation;
 
-    fn run(limit: u64, du_files: u64, secs: u64) -> NamenodeModel {
+    /// A namenode with writes, one `du` and sampling scheduled at zero.
+    fn sim(limit: u64, du_files: u64, secs: u64) -> Simulation<NamenodeModel> {
         let horizon = SimTime::from_secs(secs);
         let namespace = Namespace::synthesize_shared(du_files, 100, 1);
         let model = NamenodeModel::new(
@@ -325,7 +326,12 @@ mod tests {
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::WriteArrival);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::DuArrival);
         sim.schedule_at(SimTime::ZERO, NamenodeEvent::Sample);
-        sim.run_until(horizon);
+        sim
+    }
+
+    fn run(limit: u64, du_files: u64, secs: u64) -> NamenodeModel {
+        let mut sim = sim(limit, du_files, secs);
+        sim.run_until(SimTime::from_secs(secs));
         sim.into_model()
     }
 
@@ -362,6 +368,40 @@ mod tests {
         let small = run(10_000, 100_000, 60);
         let big = run(100_000, 100_000, 60);
         assert!(big.du_latency.mean() < small.du_latency.mean());
+    }
+
+    #[test]
+    fn every_du_reports_the_full_summary_at_an_uneven_limit() {
+        // 101 001 inodes at 7 919 per quantum: 13 quanta, the last one
+        // partial, with a second `du` queued behind the first.
+        let full = Namespace::synthesize_shared(100_000, 100, 1).summary(0);
+        let mut sim = sim(7_919, 100_000, 60);
+        sim.schedule_at(SimTime::from_secs(1), NamenodeEvent::DuArrival);
+        let mut checked = 0;
+        while sim.now() < SimTime::from_secs(60) && sim.step() {
+            let m = sim.model();
+            if m.du_completed > checked {
+                checked = m.du_completed;
+                assert_eq!(m.last_summary, Some(full), "du {checked}");
+            }
+        }
+        assert_eq!(checked, 2);
+    }
+
+    #[test]
+    fn du_after_a_plant_restart_reports_the_full_summary() {
+        use smartconf_runtime::{FaultKind, FaultPlan, FaultWindow};
+        let full = Namespace::synthesize_shared(100_000, 100, 1).summary(0);
+        let mut sim = sim(7_919, 100_000, 80);
+        // The third limit decision restarts the namenode mid-traversal.
+        let plan = FaultPlan::new().window(FaultWindow::new(FaultKind::PlantRestart, 2, 3));
+        sim.model_mut().enable_chaos(ChaosSpec::new(1, plan));
+        sim.schedule_at(SimTime::from_secs(40), NamenodeEvent::DuArrival);
+        sim.run_until(SimTime::from_secs(80));
+        let m = sim.into_model();
+        assert_eq!(m.plane.restart_count(m.chan), 1);
+        assert_eq!(m.du_completed, 1, "the restart must abort the first du");
+        assert_eq!(m.last_summary, Some(full));
     }
 
     #[test]

@@ -36,9 +36,8 @@ use std::thread;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetExecutor {
     threads: NonZeroUsize,
-    /// Claim granularity override; `None` picks an adaptive chunk per
-    /// [`FleetExecutor::execute`] call.
-    chunk: Option<NonZeroUsize>,
+    /// Items claimed per cursor bump; one unless overridden.
+    chunk: NonZeroUsize,
 }
 
 impl FleetExecutor {
@@ -60,21 +59,21 @@ impl FleetExecutor {
     pub fn new(threads: usize) -> Self {
         FleetExecutor {
             threads: NonZeroUsize::new(threads.max(1)).expect("max(1) is non-zero"),
-            chunk: None,
+            chunk: NonZeroUsize::MIN,
         }
     }
 
     /// Overrides the claim granularity: workers advance the shared
-    /// cursor by `chunk` items per claim instead of the adaptive
-    /// default. A chunk of 0 is clamped to 1; oversized chunks (up to
-    /// `usize::MAX`) are capped at the item count per `execute` call.
+    /// cursor by `chunk` items per claim instead of one. A chunk of 0 is
+    /// clamped to 1; oversized chunks (up to `usize::MAX`) are capped at
+    /// the item count per `execute` call.
     ///
     /// Chunking only changes *which worker* runs an item, never the
     /// merged output order, so results stay byte-identical at any
     /// `(threads, chunk)` combination.
     #[must_use]
     pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = Some(NonZeroUsize::new(chunk.max(1)).expect("max(1) is non-zero"));
+        self.chunk = NonZeroUsize::new(chunk.max(1)).expect("max(1) is non-zero");
         self
     }
 
@@ -110,17 +109,13 @@ impl FleetExecutor {
             return items.iter().enumerate().map(|(i, it)| run(i, it)).collect();
         }
         let workers = self.threads.get().min(items.len());
-        // Workers claim a chunk of consecutive items per cursor bump
-        // instead of one, amortizing the shared-cacheline traffic. The
-        // adaptive default leaves ~4 claims per worker so dynamic
-        // scheduling still balances uneven shard costs; the cap at the
-        // item count keeps the cursor far from overflow even with a
-        // `usize::MAX` chunk override.
-        let chunk = match self.chunk {
-            Some(c) => c.get(),
-            None => (items.len() / (workers * 4)).max(1),
-        }
-        .min(items.len());
+        // Workers claim one item per cursor bump by default: shards cost
+        // milliseconds, so the bump is free next to them, while coarser
+        // claims of uneven shards leave one worker idle at the end of a
+        // run for a share of wall time that changes from run to run. The
+        // cap at the item count keeps the cursor far from overflow even
+        // with a `usize::MAX` chunk override.
+        let chunk = self.chunk.get().min(items.len());
         let cursor = AtomicUsize::new(0);
         let mut tagged: Vec<(usize, O)> = thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -215,9 +210,9 @@ mod tests {
                 let out = FleetExecutor::new(threads).with_chunk(chunk).execute(&items, run);
                 proptest::prop_assert_eq!(&out, &reference, "chunk {}", chunk);
             }
-            // The adaptive default must agree too.
-            let adaptive = FleetExecutor::new(threads).execute(&items, run);
-            proptest::prop_assert_eq!(&adaptive, &reference);
+            // The default (one item per claim) must agree too.
+            let default = FleetExecutor::new(threads).execute(&items, run);
+            proptest::prop_assert_eq!(&default, &reference);
         }
     }
 
