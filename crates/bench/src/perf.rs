@@ -29,7 +29,8 @@
 
 use std::time::{Duration, Instant};
 
-use smartconf_core::{Controller, Goal, Hardness, SmartConf};
+use smartconf_core::{Controller, Goal, Hardness, ModelMode, SmartConf};
+use smartconf_harness::{Faults, RunSpec};
 use smartconf_runtime::{
     ChannelId, ControlPlane, Decider, EventPlane, FleetExecutor, Plant, Sensed,
 };
@@ -165,7 +166,8 @@ pub fn measure_scenarios(seed: u64) -> Vec<ScenarioPerf> {
         .map(|scenario| {
             let profiles = scenario.evaluation_profiles(seed);
             let start = Instant::now();
-            let run = scenario.run_smartconf_profiled(seed, &profiles);
+            let spec = RunSpec::new(seed, ModelMode::Frozen, Faults::None);
+            let run = scenario.run(&spec, &profiles);
             let wall = start.elapsed();
             let epochs = run.epochs.summaries().map(|(_, c)| c.epochs).sum();
             ScenarioPerf {

@@ -1,20 +1,19 @@
 //! Satellite property: the fleet profile cache is purely a wall-clock
 //! optimization. Cached and uncached profiling must produce
 //! byte-identical [`FleetReport`]s across the full seven-scenario
-//! roster — any divergence means a scenario's `_profiled` entry point
-//! drifted from its self-profiling one.
+//! roster — any divergence means a scenario's [`Scenario::run`] depends
+//! on something other than the profiles it is handed.
 
 use smartconf_bench::fleet::fleet_scenarios;
 use smartconf_core::ProfileSet;
 use smartconf_harness::{
-    run_fleet, Baseline, FaultClass, FleetExecutor, Policy, ProfileSchedule, RunResult, Scenario,
-    TradeoffDirection,
+    run_fleet, Baseline, Campaign, FaultClass, FleetExecutor, Policy, ProfileSchedule, RunResult,
+    RunSpec, Scenario, TradeoffDirection,
 };
 
-/// Hides a scenario's `_profiled` overrides so every smart shard falls
-/// back to the trait defaults, which ignore the cached profiles and
-/// re-run the §6.1 profiling loop from scratch — the uncached reference
-/// behavior the cache must reproduce byte-for-byte.
+/// Ignores the fleet's cached profiles: every smart shard re-runs the
+/// §6.1 profiling loop from scratch — the uncached reference behavior
+/// the cache must reproduce byte-for-byte.
 struct Unprofiled(Box<dyn Scenario + Send + Sync>);
 
 impl Scenario for Unprofiled {
@@ -39,11 +38,8 @@ impl Scenario for Unprofiled {
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
         self.0.run_static(setting, seed)
     }
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.0.run_smartconf(seed)
-    }
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.0.run_chaos(seed, class)
+    fn run(&self, spec: &RunSpec<'_>, _cached: &[ProfileSet]) -> RunResult {
+        self.0.run(spec, &self.0.evaluation_profiles(spec.seed))
     }
     fn profile_schedule(&self) -> ProfileSchedule {
         self.0.profile_schedule()
@@ -54,8 +50,6 @@ impl Scenario for Unprofiled {
     fn evaluation_profiles(&self, seed: u64) -> Vec<ProfileSet> {
         self.0.evaluation_profiles(seed)
     }
-    // run_smartconf_profiled / run_chaos_profiled are deliberately NOT
-    // forwarded: the trait defaults discard `profiles` and re-profile.
 }
 
 fn uncached_roster() -> Vec<Box<dyn Scenario + Send + Sync>> {
@@ -66,8 +60,9 @@ fn uncached_roster() -> Vec<Box<dyn Scenario + Send + Sync>> {
 }
 
 /// Cached vs uncached `ProfileSet`s: byte-identical [`FleetReport`]s
-/// across all seven scenarios and two seeds, for sampled fault classes
-/// and worker counts.
+/// across all seven scenarios and two seeds, for sampled fault classes,
+/// campaigns and worker counts, under both the frozen and the adaptive
+/// model.
 ///
 /// The sampling loop is hand-rolled on the vendored proptest's
 /// [`TestRng`](proptest::TestRng) instead of the `proptest!` macro: each
@@ -81,14 +76,20 @@ fn cached_and_uncached_profiles_are_byte_identical() {
     for case in 0..3 {
         let class = FaultClass::ALL[(0usize..FaultClass::ALL.len()).sample(&mut rng)];
         let threads = (1usize..5).sample(&mut rng);
+        let campaign = Campaign::ALL[(0usize..Campaign::ALL.len()).sample(&mut rng)];
         let seeds = [42u64, 43];
-        let policies = [Policy::Smart, Policy::Chaos(class)];
+        let policies = [
+            Policy::Smart,
+            Policy::Chaos(class),
+            Policy::Adaptive,
+            Policy::Campaign(campaign),
+        ];
         let executor = FleetExecutor::new(threads);
         let cached = run_fleet(&fleet_scenarios(), &seeds, &policies, &executor);
         let uncached = run_fleet(&uncached_roster(), &seeds, &policies, &executor);
         assert_eq!(
             cached.shards, uncached.shards,
-            "case {case}: class {class:?} at {threads} threads diverged"
+            "case {case}: class {class:?}, campaign {campaign:?} at {threads} threads diverged"
         );
         assert_eq!(cached.render(), uncached.render());
     }

@@ -10,14 +10,14 @@
 
 use std::sync::OnceLock;
 
-use smartconf_core::ProfileSet;
+use smartconf_core::{ModelMode, ProfileSet};
 use smartconf_runtime::{Baseline, Campaign, EpochSummary, FaultClass, FaultSet, FleetExecutor};
 
-use crate::{sweep_statics, RunResult, Scenario};
+use crate::{sweep_statics, Faults, RunResult, RunSpec, Scenario};
 
-/// How one shard drives its scenario: under SmartConf control, under a
-/// named static baseline, or under SmartConf with the deterministic
-/// fault plane armed.
+/// How one shard drives its scenario: under a named static baseline,
+/// or under SmartConf control with a model and a fault load (each
+/// non-static policy lowers to one [`RunSpec`] for [`Scenario::run`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// SmartConf-controlled run.
@@ -26,33 +26,45 @@ pub enum Policy {
     /// [`Baseline::Nonoptimal`] trigger a per-shard exhaustive sweep).
     Static(Baseline),
     /// SmartConf-controlled run with the standard fault plan for one
-    /// fault class injected ([`Scenario::run_chaos`]).
+    /// fault class injected.
     Chaos(FaultClass),
     /// SmartConf-controlled run with the online (RLS) gain estimator in
-    /// place of the frozen offline fit ([`Scenario::run_adaptive_profiled`]).
+    /// place of the frozen offline fit.
     Adaptive,
     /// Adaptive run with the standard fault plan for one fault class
-    /// injected ([`Scenario::run_adaptive_chaos_profiled`]).
+    /// injected.
     AdaptiveChaos(FaultClass),
-    /// SmartConf-controlled run with a compound-fault campaign armed
-    /// ([`Scenario::run_campaign_profiled`]).
+    /// SmartConf-controlled run with a compound-fault campaign armed.
     Campaign(Campaign),
-    /// Adaptive run with a compound-fault campaign armed
-    /// ([`Scenario::run_adaptive_campaign_profiled`]).
+    /// Adaptive run with a compound-fault campaign armed.
     AdaptiveCampaign(Campaign),
 }
 
 impl Policy {
-    /// Display label, matching the run labels of [`crate::compare`].
+    /// The controlled run this policy stands for at `seed`, or `None`
+    /// for a static baseline.
+    pub fn run_spec(&self, seed: u64) -> Option<RunSpec<'static>> {
+        let (model, faults) = match *self {
+            Policy::Static(_) => return None,
+            Policy::Smart => (ModelMode::Frozen, Faults::None),
+            Policy::Chaos(c) => (ModelMode::Frozen, Faults::Class(c)),
+            Policy::Adaptive => (ModelMode::Adaptive, Faults::None),
+            Policy::AdaptiveChaos(c) => (ModelMode::Adaptive, Faults::Class(c)),
+            Policy::Campaign(c) => (ModelMode::Frozen, Faults::Campaign(c)),
+            Policy::AdaptiveCampaign(c) => (ModelMode::Adaptive, Faults::Campaign(c)),
+        };
+        Some(RunSpec::new(seed, model, faults))
+    }
+
+    /// Display label, matching the run labels of [`crate::compare`] and
+    /// [`RunSpec::label`].
     pub fn label(&self) -> String {
         match self {
-            Policy::Smart => "SmartConf".to_string(),
             Policy::Static(b) => b.label(),
-            Policy::Chaos(c) => format!("Chaos-{}", c.label()),
-            Policy::Adaptive => "Adaptive".to_string(),
-            Policy::AdaptiveChaos(c) => format!("AdaptiveChaos-{}", c.label()),
-            Policy::Campaign(c) => format!("Campaign-{}", c.label()),
-            Policy::AdaptiveCampaign(c) => format!("AdaptiveCampaign-{}", c.label()),
+            _ => self
+                .run_spec(0)
+                .expect("every non-static policy lowers to a run spec")
+                .label(),
         }
     }
 }
@@ -324,7 +336,7 @@ impl ProfileCache {
 /// ```
 /// # use smartconf_core::ProfileSet;
 /// # use smartconf_harness::{
-/// #     run_fleet, Baseline, Policy, RunResult, Scenario, TradeoffDirection,
+/// #     run_fleet, Baseline, Policy, RunResult, RunSpec, Scenario, TradeoffDirection,
 /// # };
 /// # use smartconf_runtime::FleetExecutor;
 /// # struct Toy;
@@ -340,7 +352,9 @@ impl ProfileCache {
 /// #     fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
 /// #         RunResult::new("s", setting <= 100.0, setting, "t", TradeoffDirection::HigherIsBetter)
 /// #     }
-/// #     fn run_smartconf(&self, seed: u64) -> RunResult { self.run_static(100.0, seed) }
+/// #     fn run(&self, spec: &RunSpec<'_>, _p: &[ProfileSet]) -> RunResult {
+/// #         self.run_static(100.0, spec.seed)
+/// #     }
 /// #     fn profile(&self, _seed: u64) -> ProfileSet { ProfileSet::new() }
 /// # }
 /// let scenarios: Vec<Box<dyn Scenario + Send + Sync>> = vec![Box::new(Toy)];
@@ -372,61 +386,35 @@ fn run_shard(
     item: &FleetWorkItem,
     cache: &ProfileCache,
 ) -> ShardReport {
-    let id = scenario.id().to_string();
-    match item.policy {
-        Policy::Smart => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_smartconf_profiled(item.seed, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Chaos(class) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_chaos_profiled(item.seed, class, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Adaptive => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_profiled(item.seed, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::AdaptiveChaos(class) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_chaos_profiled(item.seed, class, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Campaign(campaign) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_campaign_profiled(item.seed, campaign, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::AdaptiveCampaign(campaign) => {
-            let profiles = cache.profiles(item.scenario, scenario, item.seed);
-            let run = scenario.run_adaptive_campaign_profiled(item.seed, campaign, &profiles);
-            ShardReport::from_run(&id, item.seed, &item.policy, &run)
-        }
-        Policy::Static(baseline) => {
-            let setting = match baseline {
-                Baseline::Optimal | Baseline::Nonoptimal => {
-                    let sweep = sweep_statics(scenario, item.seed);
-                    let found = if baseline == Baseline::Optimal {
-                        sweep.optimal_run()
-                    } else {
-                        sweep.nonoptimal_run()
-                    };
-                    found.map(|(s, _)| s)
-                }
-                _ => baseline
-                    .fixed_setting()
-                    .or_else(|| scenario.static_setting(baseline)),
+    let id = scenario.id();
+    if let Some(spec) = item.policy.run_spec(item.seed) {
+        let profiles = cache.profiles(item.scenario, scenario, item.seed);
+        let run = scenario.run(&spec, &profiles);
+        return ShardReport::from_run(id, item.seed, &item.policy, &run);
+    }
+    let Policy::Static(baseline) = item.policy else {
+        unreachable!("only static policies lower to no run spec")
+    };
+    let setting = match baseline {
+        Baseline::Optimal | Baseline::Nonoptimal => {
+            let sweep = sweep_statics(scenario, item.seed);
+            let found = if baseline == Baseline::Optimal {
+                sweep.optimal_run()
+            } else {
+                sweep.nonoptimal_run()
             };
-            match setting {
-                Some(s) => {
-                    let run = scenario.run_static(s, item.seed);
-                    ShardReport::from_run(&id, item.seed, &item.policy, &run)
-                }
-                None => ShardReport::unresolved(&id, item.seed, &item.policy),
-            }
+            found.map(|(s, _)| s)
         }
+        _ => baseline
+            .fixed_setting()
+            .or_else(|| scenario.static_setting(baseline)),
+    };
+    match setting {
+        Some(s) => {
+            let run = scenario.run_static(s, item.seed);
+            ShardReport::from_run(id, item.seed, &item.policy, &run)
+        }
+        None => ShardReport::unresolved(id, item.seed, &item.policy),
     }
 }
 
@@ -471,9 +459,12 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
-            let mut r = self.run_static(100.0, seed);
-            r.label = "SmartConf".into();
+        /// Records the spec it was handed in the trade-off name, so the
+        /// tests can see which lowering reached the scenario.
+        fn run(&self, spec: &RunSpec<'_>, _profiles: &[ProfileSet]) -> RunResult {
+            let mut r = self.run_static(100.0, spec.seed);
+            r.label = spec.label();
+            r.tradeoff_name = spec.label();
             r
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
@@ -552,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_policy_dispatches_to_run_chaos() {
+    fn chaos_policy_dispatches_to_run() {
         let scenarios = roster();
         let report = run_fleet(
             &scenarios,
@@ -560,10 +551,9 @@ mod tests {
             &[Policy::Chaos(smartconf_runtime::FaultClass::SensorDropout)],
             &FleetExecutor::new(2),
         );
-        // Toy keeps the default run_chaos (clean fallback), but the
-        // shard is labeled as a chaos run.
         let shard = report.shard("TOY", 42, "Chaos-SensorDropout").unwrap();
         assert!(shard.resolved && shard.constraint_ok);
+        assert_eq!(shard.tradeoff_name, "Chaos-SensorDropout");
     }
 
     #[test]
@@ -578,16 +568,14 @@ mod tests {
             ],
             &FleetExecutor::new(2),
         );
-        // Toy keeps the default run_campaign_profiled (clean fallback),
-        // but the shards are labeled as campaign runs.
-        let shard = report
-            .shard("TOY", 42, "Campaign-restart-under-corruption")
-            .unwrap();
-        assert!(shard.resolved && shard.constraint_ok);
-        let shard = report
-            .shard("TOY", 42, "AdaptiveCampaign-burst-everything")
-            .unwrap();
-        assert!(shard.resolved && shard.constraint_ok);
+        for label in [
+            "Campaign-restart-under-corruption",
+            "AdaptiveCampaign-burst-everything",
+        ] {
+            let shard = report.shard("TOY", 42, label).unwrap();
+            assert!(shard.resolved && shard.constraint_ok);
+            assert_eq!(shard.tradeoff_name, label);
+        }
     }
 
     #[test]
@@ -643,8 +631,8 @@ mod tests {
             fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
                 RunResult::new("x", true, setting, "t", TradeoffDirection::HigherIsBetter)
             }
-            fn run_smartconf(&self, seed: u64) -> RunResult {
-                self.run_static(1.0, seed)
+            fn run(&self, spec: &RunSpec<'_>, _profiles: &[ProfileSet]) -> RunResult {
+                self.run_static(1.0, spec.seed)
             }
             fn profile(&self, _seed: u64) -> ProfileSet {
                 ProfileSet::new()

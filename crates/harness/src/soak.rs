@@ -478,8 +478,8 @@ impl SlabGuardPolicy {
     }
 
     /// The standard ladder without the median-of-3 vote — the DESIGN
-    /// §3f plant-quantum pin compares this against [`standard`]
-    /// (SlabGuardPolicy::standard).
+    /// §3f plant-quantum pin compares this against
+    /// [`standard`](SlabGuardPolicy::standard).
     pub fn without_vote() -> SlabGuardPolicy {
         SlabGuardPolicy {
             vote: false,

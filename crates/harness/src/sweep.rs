@@ -81,7 +81,7 @@ pub fn sweep_statics(scenario: &(impl Scenario + Sync + ?Sized), seed: u64) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Baseline;
+    use crate::{Baseline, RunSpec};
     use smartconf_core::ProfileSet;
 
     /// Constraint: setting <= 100. Trade-off: setting, higher better.
@@ -114,8 +114,8 @@ mod tests {
                 TradeoffDirection::HigherIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
-            self.run_static(100.0, seed)
+        fn run(&self, spec: &RunSpec<'_>, _profiles: &[ProfileSet]) -> RunResult {
+            self.run_static(100.0, spec.seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
             ProfileSet::new()
@@ -157,8 +157,8 @@ mod tests {
         fn run_static(&self, setting: f64, _seed: u64) -> RunResult {
             RunResult::new("x", false, setting, "t", TradeoffDirection::LowerIsBetter)
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
-            self.run_static(1.0, seed)
+        fn run(&self, spec: &RunSpec<'_>, _profiles: &[ProfileSet]) -> RunResult {
+            self.run_static(1.0, spec.seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
             ProfileSet::new()
@@ -204,8 +204,8 @@ mod tests {
                 TradeoffDirection::LowerIsBetter,
             )
         }
-        fn run_smartconf(&self, seed: u64) -> RunResult {
-            self.run_static(3.0, seed)
+        fn run(&self, spec: &RunSpec<'_>, _profiles: &[ProfileSet]) -> RunResult {
+            self.run_static(3.0, spec.seed)
         }
         fn profile(&self, _seed: u64) -> ProfileSet {
             ProfileSet::new()

@@ -17,11 +17,10 @@
 //! a blocking flush actually happens.
 
 use smartconf_core::{Controller, ControllerBuilder, Goal, ModelMode, ProfileSet, SmartConf};
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, Decider, FaultClass, FaultPlan,
-    GuardPolicy, ProfileSchedule, Profiler, ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, Decider, GuardPolicy, ProfileSchedule, Profiler,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -120,18 +119,14 @@ impl Hb2149 {
     /// Synthesizes the SmartConf controller: a direct controller on the
     /// lowerLimit whose metric is the observed block duration.
     ///
+    /// `mode` picks the estimator: [`ModelMode::Adaptive`] seeds an online
+    /// RLS estimator from the profile instead of freezing the offline fit.
+    ///
     /// # Panics
     ///
     /// Panics if synthesis fails (the standard profile is well-formed —
     /// block duration is exactly affine in the setting).
-    pub fn build_controller(&self, profile: &ProfileSet) -> Controller {
-        self.build_controller_with_mode(profile, ModelMode::Frozen)
-    }
-
-    /// [`Hb2149::build_controller`] with an explicit model mode:
-    /// [`ModelMode::Adaptive`] seeds an online RLS estimator from the
-    /// profile instead of freezing the offline fit.
-    pub fn build_controller_with_mode(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
+    pub fn build_controller(&self, profile: &ProfileSet, mode: ModelMode) -> Controller {
         let goal = Goal::new("write_block_secs", self.phase_goals_secs.0);
         ControllerBuilder::new(goal)
             .profile(profile)
@@ -271,7 +266,7 @@ impl Scenario for Hb2149 {
     fn run_static(&self, setting: f64, seed: u64) -> RunResult {
         self.run_model(
             Decider::Static(setting.clamp(0.0, 200.0)),
-            &self.eval.clone(),
+            &self.eval,
             seed,
             &format!("static-{setting}MB"),
             self.phase_goals_secs,
@@ -279,137 +274,16 @@ impl Scenario for Hb2149 {
         )
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        self.run_smartconf_profiled(seed, &self.evaluation_profiles(seed))
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
+    fn run(&self, spec: &RunSpec<'_>, profiles: &[ProfileSet]) -> RunResult {
+        let controller = self.build_controller(&profiles[0], spec.model);
         let conf = SmartConf::new("global.memstore.lowerLimit", controller);
         self.run_model(
             Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "SmartConf",
+            &self.eval,
+            spec.seed,
+            &spec.label(),
             self.phase_goals_secs,
-            None,
-        )
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Chaos-{}", class.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Plan-chaos",
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            "Adaptive",
-            self.phase_goals_secs,
-            None,
-        )
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        // Same profiled-safe fallback as the frozen chaos run, plus the
-        // model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveChaos-{}", class.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller(&profiles[0]);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("Campaign-{}", campaign.label()),
-            self.phase_goals_secs,
-            Some(spec),
-        )
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let controller = self.build_controller_with_mode(&profiles[0], ModelMode::Adaptive);
-        let conf = SmartConf::new("global.memstore.lowerLimit", controller);
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        self.run_model(
-            Decider::Direct(Box::new(conf)),
-            &self.eval.clone(),
-            seed,
-            &format!("AdaptiveCampaign-{}", campaign.label()),
-            self.phase_goals_secs,
-            Some(spec),
+            spec.chaos(self.guard()),
         )
     }
 
@@ -531,6 +405,7 @@ impl Model for MemstoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::{FaultClass, Faults};
 
     fn quick() -> Hb2149 {
         let mut s = Hb2149::standard();
@@ -555,12 +430,13 @@ mod tests {
             if class == FaultClass::ActuatorSaturation {
                 continue;
             }
-            let out = t.run_chaos_profiled(13, class, &profiles);
+            let spec = RunSpec::new(13, ModelMode::Frozen, Faults::Class(class));
+            let out = t.run(&spec, &profiles);
             assert!(
                 out.constraint_ok,
                 "{class:?}: shed-armed chaos run violated the block goal"
             );
-            let again = t.run_chaos_profiled(13, class, &profiles);
+            let again = t.run(&spec, &profiles);
             assert_eq!(out.tradeoff.to_bits(), again.tradeoff.to_bits());
         }
     }

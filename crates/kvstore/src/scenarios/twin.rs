@@ -12,12 +12,11 @@
 use smartconf_core::{
     ControllerBuilder, Goal, Hardness, ModelMode, ProfileSet, Registry, SmartConfIndirect,
 };
-use smartconf_harness::{Baseline, RunResult, Scenario, TradeoffDirection};
+use smartconf_harness::{Baseline, RunResult, RunSpec, Scenario, TradeoffDirection};
 use smartconf_metrics::TimeSeries;
 use smartconf_runtime::{
-    shard_seed, Campaign, ChannelId, ChaosSpec, ControlPlane, ControlPlaneBuilder, Decider,
-    FaultClass, FaultPlan, GuardPolicy, ProfileSchedule, Profiler, Sensed,
-    ADAPTIVE_CONFIDENCE_FLOOR, CHAOS_STREAM,
+    ChannelId, ChaosSpec, ControlPlane, ControlPlaneBuilder, Decider, GuardPolicy, ProfileSchedule,
+    Profiler, Sensed,
 };
 use smartconf_simkernel::{Context, Model, SimDuration, SimTime, Simulation};
 use smartconf_workload::{PhasedWorkload, YcsbWorkload};
@@ -204,20 +203,8 @@ impl TwinQueues {
         seed: u64,
         interaction: Option<u32>,
     ) -> TwinRunResult {
-        self.run_smart_inner(seed, interaction, None)
-    }
-
-    fn run_smart_inner(
-        &self,
-        seed: u64,
-        interaction: Option<u32>,
-        chaos: Option<ChaosSpec>,
-    ) -> TwinRunResult {
-        let profiles = [
-            self.profile_queue(WhichQueue::Request, seed ^ 0xaaaa),
-            self.profile_queue(WhichQueue::Response, seed ^ 0xbbbb),
-        ];
-        self.run_smart_inner_profiled(seed, interaction, chaos, &profiles, ModelMode::Frozen)
+        let profiles = self.evaluation_profiles(seed);
+        self.run_smart_inner(seed, interaction, None, &profiles, ModelMode::Frozen)
     }
 
     /// The guard ladder shared by every chaos and campaign run.
@@ -231,11 +218,11 @@ impl TwinQueues {
             .shed_admitted(self.shed_admitted)
     }
 
-    /// [`TwinQueues::run_smart_inner`] with both queue profiles already
-    /// collected: `profiles[0]` is the request queue at `seed ^ 0xaaaa`,
+    /// Runs both coordinated controllers from already-collected queue
+    /// profiles: `profiles[0]` is the request queue at `seed ^ 0xaaaa`,
     /// `profiles[1]` the response queue at `seed ^ 0xbbbb` (the
     /// [`Scenario::evaluation_profiles`] order).
-    fn run_smart_inner_profiled(
+    fn run_smart_inner(
         &self,
         seed: u64,
         interaction: Option<u32>,
@@ -438,100 +425,16 @@ impl Scenario for TwinQueues {
         TwinQueues::run_static(self, req_bound, setting, seed).result
     }
 
-    fn run_smartconf(&self, seed: u64) -> RunResult {
-        TwinQueues::run_smartconf(self, seed).result
-    }
-
-    fn run_smartconf_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        self.run_smart_inner_profiled(seed, None, None, profiles, ModelMode::Frozen)
-            .result
-    }
-
-    fn run_chaos(&self, seed: u64, class: FaultClass) -> RunResult {
-        self.run_chaos_profiled(seed, class, &self.evaluation_profiles(seed))
-    }
-
-    fn run_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let spec =
-            ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(self.guard());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = format!("Chaos-{}", class.label());
-        out.result
-    }
-
-    fn run_plan_profiled(&self, seed: u64, plan: &FaultPlan, profiles: &[ProfileSet]) -> RunResult {
-        let spec =
-            ChaosSpec::new(shard_seed(seed, CHAOS_STREAM), plan.clone()).with_guard(self.guard());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = "Plan-chaos".to_string();
-        out.result
-    }
-
-    fn run_adaptive_profiled(&self, seed: u64, profiles: &[ProfileSet]) -> RunResult {
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, None, profiles, ModelMode::Adaptive);
-        out.result.label = "Adaptive".to_string();
-        out.result
-    }
-
-    fn run_adaptive_chaos_profiled(
-        &self,
-        seed: u64,
-        class: FaultClass,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        // Same profiled-safe fallback pair as the frozen chaos run, plus
-        // the model-doubt safety net for estimator collapse.
-        let guard = self.guard().confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR);
-        let spec = ChaosSpec::standard(class, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Adaptive);
-        out.result.label = format!("AdaptiveChaos-{}", class.label());
-        out.result
-    }
-
-    fn run_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM))
-            .with_guard(self.guard().campaign_hardened());
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Frozen);
-        out.result.label = format!("Campaign-{}", campaign.label());
-        out.result
-    }
-
-    fn run_adaptive_campaign_profiled(
-        &self,
-        seed: u64,
-        campaign: Campaign,
-        profiles: &[ProfileSet],
-    ) -> RunResult {
-        let guard = self
-            .guard()
-            .confidence_floor(ADAPTIVE_CONFIDENCE_FLOOR)
-            .campaign_hardened();
-        let spec = ChaosSpec::campaign(campaign, shard_seed(seed, CHAOS_STREAM)).with_guard(guard);
-        let mut out =
-            self.run_smart_inner_profiled(seed, None, Some(spec), profiles, ModelMode::Adaptive);
-        out.result.label = format!("AdaptiveCampaign-{}", campaign.label());
+    fn run(&self, spec: &RunSpec<'_>, profiles: &[ProfileSet]) -> RunResult {
+        let chaos = spec.chaos(self.guard());
+        let mut out = self.run_smart_inner(spec.seed, None, chaos, profiles, spec.model);
+        out.result.label = spec.label();
         out.result
     }
 
     /// TWIN profiles each queue separately: the request queue at
     /// `seed ^ 0xaaaa` and the response queue at `seed ^ 0xbbbb`, in
-    /// that order (the order `run_smart_inner` consumed them before the
-    /// profile cache existed, so cached runs replay byte-identically).
+    /// that order (`run_smart_inner` reads them by index).
     fn evaluation_profiles(&self, seed: u64) -> Vec<ProfileSet> {
         vec![
             self.profile_queue(WhichQueue::Request, seed ^ 0xaaaa),
@@ -774,6 +677,7 @@ impl Model for TwinModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartconf_harness::{FaultClass, Faults};
 
     fn quick() -> TwinQueues {
         let mut s = TwinQueues::standard();
@@ -791,7 +695,8 @@ mod tests {
         let t = quick().with_shed_admitted();
         let profiles = t.evaluation_profiles(13);
         for class in FaultClass::ALL {
-            let out = t.run_chaos_profiled(13, class, &profiles);
+            let spec = RunSpec::new(13, ModelMode::Frozen, Faults::Class(class));
+            let out = t.run(&spec, &profiles);
             assert!(
                 out.constraint_ok,
                 "{class:?}: shed-armed chaos run violated the hard goal \
@@ -799,7 +704,7 @@ mod tests {
                 out.crash_time_us
             );
             // Same spec, same seed: the chaos run must replay exactly.
-            let again = t.run_chaos_profiled(13, class, &profiles);
+            let again = t.run(&spec, &profiles);
             assert_eq!(out.tradeoff.to_bits(), again.tradeoff.to_bits());
         }
     }

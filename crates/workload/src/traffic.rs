@@ -100,7 +100,7 @@ pub struct TrafficShape {
     /// Relative load surge right after a plant restart (cold caches
     /// refilling): the restarted tenant's load is multiplied by
     /// `1 + restart_surge · 2^−age` for the first
-    /// [`RESTART_SURGE_EPOCHS`] epochs. `0.0` disables the surge.
+    /// `RESTART_SURGE_EPOCHS` (4) epochs. `0.0` disables the surge.
     pub restart_surge: f64,
 }
 
@@ -208,7 +208,7 @@ impl TrafficShape {
     /// The cold-cache load multiplier `epochs_since_restart` epochs
     /// after a plant restart: `1 + restart_surge` on the restart epoch
     /// itself, halving each epoch, exactly 1.0 from
-    /// [`RESTART_SURGE_EPOCHS`] on (the soak's PlantRestart arm feeds
+    /// `RESTART_SURGE_EPOCHS` (4) on (the soak's PlantRestart arm feeds
     /// this from its per-tenant slab age counter; every other arm sees
     /// a constant 1.0). Pure `+ × ÷`, so it is platform-exact.
     pub fn restart_load(&self, epochs_since_restart: u64) -> f64 {
