@@ -38,6 +38,8 @@ use smartconf_runtime::{
     ADAPTIVE_CONFIDENCE_FLOOR,
 };
 
+use crate::artifact::Json;
+
 /// True plant gain the controllers were synthesized against.
 pub const GAIN_BEFORE: f64 = 2.0;
 
@@ -237,34 +239,28 @@ pub fn render_table(rows: &[CellOutcome]) -> String {
     out
 }
 
-/// Renders the `BENCH_adaptive.json` artifact.
-pub fn adaptive_json(seed: u64, rows: &[CellOutcome]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"epochs\": {EPOCHS},\n"));
-    out.push_str(&format!("  \"drift_epoch\": {DRIFT_EPOCH},\n"));
-    out.push_str(&format!(
-        "  \"gain_drift\": [{GAIN_BEFORE}, {GAIN_AFTER}],\n"
-    ));
-    out.push_str("  \"cells\": [\n");
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"class\": \"{}\", \"strategy\": \"{}\", \"mean_abs_error\": {:.4}, \
-                 \"settled_after\": {}, \"violations\": {}, \"guard_activations\": {}}}",
-                r.class.map_or("clean", |c| c.label()),
-                r.strategy.label(),
-                r.mean_abs_error,
-                r.settled_after,
-                r.violations,
-                r.guard_activations
-            )
-        })
-        .collect();
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+/// Builds the `BENCH_adaptive.json` artifact.
+pub fn adaptive_json(seed: u64, rows: &[CellOutcome]) -> Json {
+    let cells = rows.iter().map(|r| {
+        Json::obj([
+            ("class", r.class.map_or("clean", |c| c.label()).into()),
+            ("strategy", r.strategy.label().into()),
+            ("mean_abs_error", Json::fixed(r.mean_abs_error, 4)),
+            ("settled_after", r.settled_after.into()),
+            ("violations", r.violations.into()),
+            ("guard_activations", r.guard_activations.into()),
+        ])
+    });
+    Json::obj([
+        ("seed", seed.into()),
+        ("epochs", EPOCHS.into()),
+        ("drift_epoch", DRIFT_EPOCH.into()),
+        (
+            "gain_drift",
+            Json::arr([GAIN_BEFORE, GAIN_AFTER].map(|g| Json::Num(g.to_string()))),
+        ),
+        ("cells", Json::arr(cells)),
+    ])
 }
 
 #[cfg(test)]
@@ -329,7 +325,7 @@ mod tests {
             violations: 2,
             guard_activations: 0,
         }];
-        let json = adaptive_json(42, &rows);
+        let json = adaptive_json(42, &rows).render();
         assert!(json.contains("\"class\": \"clean\""));
         assert!(json.contains("\"strategy\": \"adaptive\""));
         assert!(json.contains("\"mean_abs_error\": 1.2500"));

@@ -11,28 +11,16 @@
 //!   `BENCH_adaptive.json`.
 
 use smartconf_bench::adaptive::{adaptive_json, render_table, run_matrix};
+use smartconf_bench::artifact::{write_artifact, Flags};
 
 fn main() {
-    let mut seed: u64 = 42;
-    let mut out_path = "BENCH_adaptive.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => seed = value("--seed").parse().expect("--seed takes a number"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
+    let flags = Flags::parse(&["--seed", "--out"]);
+    let seed: u64 = flags.get("--seed", 42);
+    let out_path = flags.get("--out", "BENCH_adaptive.json".to_string());
     eprintln!(
         "adaptive bench: drifting-gain plant, 3 strategies x (clean + 7 fault classes), seed {seed}"
     );
     let rows = run_matrix(seed);
     print!("{}", render_table(&rows));
-    let json = adaptive_json(seed, &rows);
-    std::fs::write(&out_path, &json).expect("write BENCH_adaptive.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &adaptive_json(seed, &rows));
 }

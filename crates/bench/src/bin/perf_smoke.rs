@@ -1,77 +1,42 @@
-//! Perf smoke benchmark: per-scenario epoch-loop throughput plus the
-//! end-to-end serial fleet wall-clock, written to `BENCH_perf.json`,
-//! with an optional regression gate against a committed baseline.
+//! Perf smoke benchmark: per-scenario epoch-loop throughput, the event
+//! kernel's events/sec and the end-to-end serial fleet wall-clock,
+//! written to `BENCH_perf.json`, with an optional regression gate
+//! against a committed baseline. The measurements, the history record
+//! and the gates are documented in [`smartconf_bench::perf`].
 //!
 //! Usage: `perf_smoke [--seeds K] [--out PATH] [--check BASELINE]`
 //!
 //! * `--seeds K` — number of fleet seeds (42, 43, …); default 2.
 //! * `--out PATH` — where to write the JSON artifact; default
-//!   `BENCH_perf.json`.
-//! * `--check BASELINE` — read a previously committed `BENCH_perf.json`
-//!   and exit non-zero when the fresh fleet wall-clock (or kernel rate)
-//!   regresses. While the baseline's `"history"` trend is short the
-//!   gate is the raw ±25% band ([`smartconf_bench::perf::TOLERANCE`])
-//!   around the committed headline; once the trend holds
-//!   [`smartconf_bench::perf::STAT_MIN_HISTORY`] runs it becomes the
-//!   robust median ± k·MAD band over the whole series
-//!   ([`smartconf_bench::perf::stat_gate`]). Running *faster* than the
-//!   lower bound is reported as a stale baseline but does not fail, so
-//!   perf improvements land without a lockstep baseline bump.
-//!
-//! When the output file already exists, its headline numbers are
-//! appended to a `"history"` array in the fresh artifact (capped at
-//! [`smartconf_bench::perf::HISTORY_CAP`] entries) instead of being
-//! overwritten, so repeated `--check` cycles accumulate a trend record.
+//!   `BENCH_perf.json`. When the file already exists, its headline
+//!   numbers join the fresh artifact's `"history"` (capped at
+//!   [`smartconf_bench::perf::HISTORY_CAP`] entries), so repeated
+//!   `--check` cycles accumulate a trend. A previous file that does not
+//!   read back whole stops the run before it is overwritten.
+//! * `--check BASELINE` — exit non-zero when the fresh fleet wall-clock
+//!   or kernel rate regresses past its gate
+//!   ([`smartconf_bench::perf::trend_gate`]: ±25% around the headline,
+//!   or median ± 5·MAD once the trend holds 5 runs). Beating the gate
+//!   is reported as a stale baseline but does not fail, so perf
+//!   improvements land without a lockstep baseline bump. A truncated or
+//!   malformed baseline fails with an error naming the file and key.
 //!
 //! Every measurement is preceded by one discarded warmup pass
-//! ([`smartconf_bench::perf::warmup_pass`]): first-touch costs (cold
-//! page cache, HD4995's process-wide namespace memo) would otherwise
-//! pollute the first sample — and through it the history median — with
-//! a cold/warm bimodal mixture. The artifact records
-//! `"warmup_pass": true` and each carried history entry is annotated
-//! with the `"warmup"` flag of the run it came from, so pre-warmup
-//! entries remain distinguishable in the trend.
-//!
-//! Alongside the per-scenario epochs/sec the artifact records the event
-//! kernel's events/sec ([`smartconf_bench::perf::measure_kernel`]): a
-//! synthetic heterogeneous-period plane run through `EventPlane`,
-//! isolating the calendar + decide cost per event. Under `--check` the
-//! kernel rate is gated with the same ±25% band as the fleet wall-clock
-//! (directions inverted — a rate regresses by *dropping*); the kernel
-//! processes millions of events per measurement, so its rate is stable
-//! enough to gate where the sub-millisecond per-scenario loops are not.
-//!
-//! Epochs/sec per scenario is recorded in the artifact but never gated:
-//! sub-millisecond decide loops jitter by integer factors on shared CI
-//! hosts, while the multi-second fleet wall-clock is stable enough for a
-//! 25% band.
+//! ([`smartconf_bench::perf::warmup_pass`]); the artifact records
+//! `"warmup_pass": true` and each history entry the `"warmup"` flag of
+//! the run it came from.
 
+use smartconf_bench::artifact::{write_artifact, Better, CheckVerdict, Failures, Flags, Gate};
 use smartconf_bench::perf::{
-    bench_json, carry_history, check_fleet_wall, check_fleet_wall_stat, check_kernel_rate,
-    check_kernel_rate_stat, fleet_wall_series, kernel_rate_series, measure_fleet, measure_kernel,
-    measure_scenarios, parse_fleet_wall, parse_kernel_rate, stat_gate, warmup_pass, CheckVerdict,
-    STAT_K, TOLERANCE,
+    baseline_gates, bench_json, measure_fleet, measure_kernel, measure_scenarios, read_history,
+    warmup_pass,
 };
 use std::time::Instant;
 
 fn main() {
-    let mut seeds_n: u64 = 2;
-    let mut out_path = "BENCH_perf.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => seeds_n = value("--seeds").parse().expect("--seeds takes a count"),
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    let seeds: Vec<u64> = (42..42 + seeds_n.max(1)).collect();
+    let flags = Flags::parse(&["--seeds", "--out", "--check"]);
+    let seeds: Vec<u64> = (42..42 + flags.get("--seeds", 2u64).max(1)).collect();
+    let out_path = flags.get("--out", "BENCH_perf.json".to_string());
 
     // One discarded pass over every timed path: first-touch costs
     // (cold page cache, HD4995's process-wide namespace memo, branch
@@ -114,108 +79,46 @@ fn main() {
 
     // Rewriting the artifact appends the previous run to its `history`
     // array instead of discarding it, so `--check` cycles accumulate a
-    // trend record rather than overwriting each other.
-    let history = match std::fs::read_to_string(&out_path) {
-        Ok(previous) => carry_history(&previous),
-        Err(_) => Vec::new(),
+    // trend record rather than overwriting each other. A previous
+    // artifact that does not read back whole stops the run before it
+    // is overwritten.
+    let history = if std::path::Path::new(&out_path).exists() {
+        read_history(&out_path).unwrap_or_else(|e| {
+            eprintln!("FAIL: {e}");
+            std::process::exit(1)
+        })
+    } else {
+        Vec::new()
     };
     let json = bench_json(42, &scenarios, &kernel, &seeds, &fleet, true, &history);
-    std::fs::write(&out_path, &json).expect("write BENCH_perf.json");
-    eprintln!("wrote {out_path}");
-    print!("{json}");
+    write_artifact(&out_path, &json);
+    print!("{}", json.render());
 
-    let Some(baseline_path) = check_path else {
+    let Some(baseline_path) = flags.opt("--check") else {
         return;
     };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("--check: cannot read {baseline_path}: {e}"));
-    let new_secs = fleet.wall.as_secs_f64();
-    let mut failed = false;
-
-    // Fleet wall-clock: statistical gate over the recorded trend when
-    // the baseline carries enough history, else the raw ±25% band.
-    let (wall_verdict, band) = match stat_gate(&fleet_wall_series(&baseline)) {
-        Some(gate) => (
-            check_fleet_wall_stat(&gate, new_secs),
-            format!(
-                "history median {:.3} s over {} runs, ±{STAT_K}·MAD -> [{:.3}, {:.3}] s, \
-                 measured {new_secs:.3} s",
-                gate.median,
-                gate.n,
-                gate.lo(),
-                gate.hi()
+    let mut failures = Failures::default();
+    let mut judge = |what: &str, gate: Gate, better, measured: f64, digits: usize, unit| {
+        let band = format!(
+            "{}, measured {measured:.digits$} {unit}",
+            gate.describe(digits, unit)
+        );
+        match gate.check(measured, better) {
+            CheckVerdict::Ok => eprintln!("OK: {what} within tolerance ({band})"),
+            CheckVerdict::BaselineStale => eprintln!(
+                "OK: {what} beats its tolerance window ({band}); \
+                 consider regenerating the committed {baseline_path}"
             ),
-        ),
-        None => {
-            let baseline_secs = parse_fleet_wall(&baseline)
-                .unwrap_or_else(|| panic!("--check: no fleet_wall_clock_secs in {baseline_path}"));
-            (
-                check_fleet_wall(baseline_secs, new_secs),
-                format!(
-                    "baseline {:.3} s, tolerance ±{:.0}% -> [{:.3}, {:.3}] s, measured {:.3} s",
-                    baseline_secs,
-                    TOLERANCE * 100.0,
-                    baseline_secs * (1.0 - TOLERANCE),
-                    baseline_secs * (1.0 + TOLERANCE),
-                    new_secs
-                ),
-            )
+            CheckVerdict::Regression => failures.fail(format!("{what} regression ({band})")),
         }
     };
-    match wall_verdict {
-        CheckVerdict::Ok => eprintln!("OK: fleet wall-clock within tolerance ({band})"),
-        CheckVerdict::BaselineStale => eprintln!(
-            "OK: fleet wall-clock beats the lower tolerance bound ({band}); \
-             consider regenerating the committed {baseline_path}"
-        ),
-        CheckVerdict::Regression => {
-            eprintln!("FAIL: fleet wall-clock regression ({band})");
-            failed = true;
+    match baseline_gates(&baseline_path) {
+        Err(e) => failures.fail(e),
+        Ok((wall, rate)) => {
+            let (secs, eps) = (fleet.wall.as_secs_f64(), kernel.events_per_sec());
+            judge("fleet wall-clock", wall, Better::Lower, secs, 3, "s");
+            judge("kernel rate", rate, Better::Higher, eps, 0, "events/s");
         }
     }
-
-    let new_rate = kernel.events_per_sec();
-    let (rate_verdict, rate_band) = match stat_gate(&kernel_rate_series(&baseline)) {
-        Some(gate) => (
-            check_kernel_rate_stat(&gate, new_rate),
-            format!(
-                "history median {:.0} events/s over {} runs, ±{STAT_K}·MAD -> [{:.0}, {:.0}] \
-                 events/s, measured {new_rate:.0}",
-                gate.median,
-                gate.n,
-                gate.lo(),
-                gate.hi()
-            ),
-        ),
-        None => {
-            let baseline_rate = parse_kernel_rate(&baseline)
-                .unwrap_or_else(|| panic!("--check: no kernel events_per_sec in {baseline_path}"));
-            (
-                check_kernel_rate(baseline_rate, new_rate),
-                format!(
-                    "baseline {:.0} events/s, tolerance ±{:.0}% -> [{:.0}, {:.0}] events/s, \
-                     measured {:.0}",
-                    baseline_rate,
-                    TOLERANCE * 100.0,
-                    baseline_rate * (1.0 - TOLERANCE),
-                    baseline_rate * (1.0 + TOLERANCE),
-                    new_rate
-                ),
-            )
-        }
-    };
-    match rate_verdict {
-        CheckVerdict::Ok => eprintln!("OK: kernel events/sec within tolerance ({rate_band})"),
-        CheckVerdict::BaselineStale => eprintln!(
-            "OK: kernel events/sec beats the upper tolerance bound ({rate_band}); \
-             consider regenerating the committed {baseline_path}"
-        ),
-        CheckVerdict::Regression => {
-            eprintln!("FAIL: kernel events/sec regression ({rate_band})");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    failures.finish(format_args!("perf gates pass against {baseline_path}"));
 }

@@ -23,81 +23,39 @@
 //!
 //! [`FleetReport`]: smartconf_harness::FleetReport
 
+use smartconf_bench::artifact::{two_phase, write_artifact, Failures, Flags};
 use smartconf_bench::chaos::HARD_GOAL_SCENARIOS;
-use smartconf_bench::resilience::{
-    campaign_outcomes, hard_goal_violations, resilience_json, resilience_run,
-};
+use smartconf_bench::fleet::run_roster;
+use smartconf_bench::resilience::{campaign_outcomes, campaign_policies, resilience_json};
 
 /// First seed of the default set; see the module docs for why the
 /// default count stops at 1.
 const BASE_SEED: u64 = 42;
 
 fn main() {
-    let mut seeds_n: u64 = 1;
-    let mut threads: usize = 4;
-    let mut out_path = "BENCH_resilience.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => seeds_n = value("--seeds").parse().expect("--seeds takes a count"),
-            "--threads" => threads = value("--threads").parse().expect("--threads takes a count"),
-            "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    let seeds: Vec<u64> = (BASE_SEED..BASE_SEED + seeds_n.max(1)).collect();
+    let flags = Flags::parse(&["--seeds", "--threads", "--out"]);
+    let seeds: Vec<u64> = (BASE_SEED..BASE_SEED + flags.get("--seeds", 1u64).max(1)).collect();
+    let threads: usize = flags.get("--threads", 4);
+    let out_path = flags.get("--out", "BENCH_resilience.json".to_string());
 
     eprintln!(
         "resilience smoke: 7 scenarios x {} seeds x 10 policies \
          (SmartConf + Adaptive, frozen + adaptive per compound-fault campaign)",
         seeds.len()
     );
-    let (serial_report, serial_phase) = resilience_run(&seeds, 1);
-    eprintln!(
-        "  {}: {:.3} s",
-        serial_phase.name,
-        serial_phase.wall.as_secs_f64()
+    let ((serial, parallel), phases) = two_phase("resilience", threads, |n| {
+        run_roster(&campaign_policies(), &seeds, n)
+    });
+    let serial_bytes = serial.render();
+    let mut failures = Failures::default();
+    let identical = failures.same_render("resilience", threads, &serial_bytes, &parallel.render());
+    write_artifact(
+        &out_path,
+        &resilience_json(&seeds, &serial, identical, &phases),
     );
-    let (parallel_report, parallel_phase) = resilience_run(&seeds, threads);
-    eprintln!(
-        "  {}: {:.3} s",
-        parallel_phase.name,
-        parallel_phase.wall.as_secs_f64()
-    );
-
-    let serial_bytes = serial_report.render();
-    let parallel_bytes = parallel_report.render();
-    let identical = serial_bytes == parallel_bytes;
-
-    let json = resilience_json(
-        &seeds,
-        &serial_report,
-        identical,
-        &[serial_phase, parallel_phase],
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_resilience.json");
-    eprintln!("wrote {out_path}");
     print!("{serial_bytes}");
 
-    let mut failed = false;
-    if !identical {
-        for (i, (a, b)) in serial_bytes.lines().zip(parallel_bytes.lines()).enumerate() {
-            if a != b {
-                eprintln!(
-                    "first diff at line {}:\n  1-thread: {a}\n  {threads}-thread: {b}",
-                    i + 1
-                );
-                break;
-            }
-        }
-        eprintln!("FAIL: resilience reports differ between 1 and {threads} threads");
-        failed = true;
-    }
-    let outcomes = campaign_outcomes(&serial_report);
+    let outcomes = campaign_outcomes(&serial);
     for o in &outcomes {
         eprintln!(
             "  {} / {}: {} violations, {} faults, {} reengages (max dwell {}), \
@@ -114,20 +72,15 @@ fn main() {
             o.unrecovered
         );
         if o.hard_goal && o.violations > 0 {
-            eprintln!(
-                "FAIL: {} violated its hard goal under {} (hard scenarios: {:?})",
+            failures.fail(format!(
+                "{} violated its hard goal under {} (hard scenarios: {:?})",
                 o.scenario, o.policy, HARD_GOAL_SCENARIOS
-            );
-            failed = true;
+            ));
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
-    assert_eq!(hard_goal_violations(&outcomes), 0);
-    eprintln!(
-        "OK: resilience reports byte-identical at 1 and {threads} threads, \
+    failures.finish(format_args!(
+        "resilience reports byte-identical at 1 and {threads} threads, \
          zero hard-goal violations across {} campaign cells",
         outcomes.len()
-    );
+    ));
 }

@@ -1,14 +1,9 @@
-//! Soak smoke check: instantiates `--tenants` lightweight tenant plants
-//! per scenario *per arm* (default 100 000 × 7 scenarios × 5 arms: the
-//! clean control arm plus one arm per soak fault class) on the cohort
-//! calendar, drives them through 24 simulated hours of diurnal +
-//! flash-crowd + churn traffic — fault arms additionally under
-//! tenant-keyed fault windows behind the slab guard ladder — at 1
-//! worker thread and again at N, asserts the two [`SoakReport`]
-//! renderings (and the cross-check arm's) are byte-identical, asserts
-//! zero hard-goal cohort breaches and zero unrecovered hard-goal
-//! tenants, asserts the real-plant cross-check tails sit inside the
-//! distilled-template bracket, and writes `BENCH_soak.json`.
+//! Soak smoke check: runs `--tenants` lightweight tenant plants per
+//! scenario per arm (the clean control arm plus one arm per soak fault
+//! class) through 24 simulated hours of diurnal + flash-crowd + churn
+//! traffic at 1 worker thread and again at N (see
+//! [`smartconf_bench::soak`]), cross-checks the distilled-template tails
+//! against full `ControlPlane` plants, and writes `BENCH_soak.json`.
 //!
 //! Usage: `soak_smoke [--tenants N] [--threads T] [--real-tenants R]
 //! [--out PATH] [--check BASELINE]`
@@ -27,12 +22,11 @@
 //! ends the run unrecovered, the cross-check bracket fails, or the
 //! baseline check fails.
 //!
-//! [`SoakReport`]: smartconf_harness::SoakReport
 //! [`check_soak`]: smartconf_bench::soak::check_soak
 
 use std::time::Instant;
 
-use smartconf_bench::fleet::FleetPhase;
+use smartconf_bench::artifact::{read_artifact, two_phase, write_artifact, Failures, Flags};
 use smartconf_bench::soak::{
     build_templates, check_soak, cross_check_failures, cross_check_run, soak_json, soak_run,
     SoakConfig,
@@ -40,30 +34,17 @@ use smartconf_bench::soak::{
 use smartconf_runtime::FleetExecutor;
 
 fn main() {
-    let mut tenants: u64 = 100_000;
-    let mut threads: usize = 4;
-    let mut real_tenants: u64 = 64;
-    let mut out_path = "BENCH_soak.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--tenants" => tenants = value("--tenants").parse().expect("--tenants takes a count"),
-            "--threads" => threads = value("--threads").parse().expect("--threads takes a count"),
-            "--real-tenants" => {
-                real_tenants = value("--real-tenants")
-                    .parse()
-                    .expect("--real-tenants takes a count")
-            }
-            "--out" => out_path = value("--out"),
-            "--check" => check_path = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
+    let flags = Flags::parse(&[
+        "--tenants",
+        "--threads",
+        "--real-tenants",
+        "--out",
+        "--check",
+    ]);
+    let tenants: u64 = flags.get("--tenants", 100_000);
+    let threads: usize = flags.get("--threads", 4);
+    let real_tenants: u64 = flags.get("--real-tenants", 64);
+    let out_path = flags.get("--out", "BENCH_soak.json".to_string());
 
     let config = SoakConfig::standard(tenants);
     eprintln!(
@@ -87,33 +68,15 @@ fn main() {
             .unwrap_or_default()
     );
 
-    let start = Instant::now();
-    let serial_report = soak_run(&config, &scenarios, &FleetExecutor::new(1));
-    let serial_phase = FleetPhase {
-        name: "soak-1-thread".into(),
-        threads: 1,
-        wall: start.elapsed(),
-    };
+    let ((serial_report, parallel_report), phases) = two_phase("soak", threads, |n| {
+        soak_run(&config, &scenarios, &FleetExecutor::new(n))
+    });
     let total_tenants = tenants * scenarios.len() as u64 * config.arms.len() as u64;
+    let serial_secs = phases[0].wall.as_secs_f64();
     eprintln!(
-        "  {}: {:.3} s ({:.0} tenants/s, {:.0} senses/s)",
-        serial_phase.name,
-        serial_phase.wall.as_secs_f64(),
-        total_tenants as f64 / serial_phase.wall.as_secs_f64(),
-        serial_report.total_senses() as f64 / serial_phase.wall.as_secs_f64()
-    );
-
-    let start = Instant::now();
-    let parallel_report = soak_run(&config, &scenarios, &FleetExecutor::new(threads));
-    let parallel_phase = FleetPhase {
-        name: format!("soak-{threads}-threads"),
-        threads,
-        wall: start.elapsed(),
-    };
-    eprintln!(
-        "  {}: {:.3} s",
-        parallel_phase.name,
-        parallel_phase.wall.as_secs_f64()
+        "  serial rate: {:.0} tenants/s, {:.0} senses/s",
+        total_tenants as f64 / serial_secs,
+        serial_report.total_senses() as f64 / serial_secs
     );
 
     let mut serial_bytes = serial_report.render();
@@ -121,14 +84,8 @@ fn main() {
 
     let cross = if real_tenants > 0 {
         let start = Instant::now();
-        let serial_cross =
-            cross_check_run(&config, &scenarios, real_tenants, &FleetExecutor::new(1));
-        let parallel_cross = cross_check_run(
-            &config,
-            &scenarios,
-            real_tenants,
-            &FleetExecutor::new(threads),
-        );
+        let [serial_cross, parallel_cross] = [1, threads]
+            .map(|n| cross_check_run(&config, &scenarios, real_tenants, &FleetExecutor::new(n)));
         eprintln!(
             "  cross-check: {} real plants x {} scenarios in {:.3} s",
             real_tenants,
@@ -142,7 +99,8 @@ fn main() {
     } else {
         None
     };
-    let identical = serial_bytes == parallel_bytes;
+    let mut failures = Failures::default();
+    let identical = failures.same_render("soak", threads, &serial_bytes, &parallel_bytes);
 
     let json = soak_json(
         &config,
@@ -150,65 +108,42 @@ fn main() {
         &serial_report,
         cross.as_ref(),
         identical,
-        &[serial_phase, parallel_phase],
+        &phases,
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_soak.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &json);
     print!("{serial_bytes}");
 
-    let mut failed = false;
-    if !identical {
-        for (i, (a, b)) in serial_bytes.lines().zip(parallel_bytes.lines()).enumerate() {
-            if a != b {
-                eprintln!(
-                    "first diff at line {}:\n  1-thread: {a}\n  {threads}-thread: {b}",
-                    i + 1
-                );
-                break;
-            }
-        }
-        eprintln!("FAIL: soak reports differ between 1 and {threads} threads");
-        failed = true;
-    }
     let breaches = serial_report.hard_gate_breaches();
     if !breaches.is_empty() {
-        eprintln!("FAIL: hard-goal cohort gate breached (p99 > delta) in: {breaches:?}");
-        failed = true;
+        failures.fail(format!(
+            "hard-goal cohort gate breached (p99 > delta) in: {breaches:?}"
+        ));
     }
     let unrecovered = serial_report.unrecovered_hard_tenants();
     if unrecovered > 0 {
-        eprintln!("FAIL: {unrecovered} unrecovered hard-goal tenants at end of soak");
-        failed = true;
+        failures.fail(format!(
+            "{unrecovered} unrecovered hard-goal tenants at end of soak"
+        ));
     }
     if let Some(cross) = &cross {
         let bracket = cross_check_failures(&serial_report, cross);
-        for f in &bracket {
-            eprintln!("FAIL: cross-check {f}");
-        }
         if bracket.is_empty() {
             eprintln!("cross-check bracket: OK");
-        } else {
-            failed = true;
         }
+        bracket
+            .iter()
+            .for_each(|f| failures.fail(format!("cross-check {f}")));
     }
-    if let Some(path) = check_path {
-        let baseline = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let failures = check_soak(&json, &baseline);
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        if failures.is_empty() {
+    if let Some(path) = flags.opt("--check") {
+        let baseline = read_artifact("baseline", &path);
+        let gate = baseline.map_or_else(|e| vec![e], |b| check_soak(&json, &b, &path));
+        if gate.is_empty() {
             eprintln!("baseline check against {path}: OK");
-        } else {
-            failed = true;
         }
+        gate.into_iter().for_each(|f| failures.fail(f));
     }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!(
-        "OK: soak reports byte-identical at 1 and {threads} threads, zero hard cohort \
+    failures.finish(format_args!(
+        "soak reports byte-identical at 1 and {threads} threads, zero hard cohort \
          breaches, zero unrecovered hard tenants"
-    );
+    ));
 }

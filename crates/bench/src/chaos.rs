@@ -10,11 +10,10 @@
 //! how many shards violated their constraint. The report must be
 //! byte-identical at 1 and N worker threads, like the clean fleet.
 
-use std::time::Instant;
+use smartconf_harness::{FleetReport, Policy};
+use smartconf_runtime::FaultClass;
 
-use smartconf_harness::{run_fleet, FleetReport, Policy};
-use smartconf_runtime::{FaultClass, FleetExecutor};
-
+use crate::artifact::{self, Json};
 use crate::fleet::{fleet_scenarios, FleetPhase};
 
 /// Scenarios whose constraint is a hard goal (crash / outage above it):
@@ -33,26 +32,8 @@ pub fn chaos_policies() -> Vec<Policy> {
     policies
 }
 
-/// Runs the seven-scenario chaos fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn chaos_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
-    let scenarios = fleet_scenarios();
-    let policies = chaos_policies();
-    let start = Instant::now();
-    let report = run_fleet(&scenarios, seeds, &policies, &FleetExecutor::new(threads));
-    let phase = FleetPhase {
-        name: format!(
-            "chaos-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
-}
-
 /// Per-fault-class aggregates over one chaos fleet report.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassOutcome {
     /// Policy label, e.g. `"Chaos-SensorDropout"` (or `"SmartConf"` for
     /// the clean baseline).
@@ -84,12 +65,7 @@ pub fn class_outcomes(report: &FleetReport) -> Vec<ClassOutcome> {
             None => {
                 outcomes.push(ClassOutcome {
                     policy: shard.policy.clone(),
-                    shards: 0,
-                    violations: 0,
-                    hard_goal_violations: 0,
-                    faults_injected: 0,
-                    guard_activations: 0,
-                    fallback_epochs: 0,
+                    ..Default::default()
                 });
                 outcomes.last_mut().expect("just pushed")
             }
@@ -110,68 +86,42 @@ pub fn class_outcomes(report: &FleetReport) -> Vec<ClassOutcome> {
     outcomes
 }
 
-/// Renders the `BENCH_chaos.json` artifact.
+/// Builds the `BENCH_chaos.json` artifact.
 pub fn chaos_json(
     seeds: &[u64],
     report: &FleetReport,
     reports_identical: bool,
     phases: &[FleetPhase],
-) -> String {
+) -> Json {
     let outcomes = class_outcomes(report);
     let hard_total: usize = outcomes.iter().map(|o| o.hard_goal_violations).sum();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so phase timings there only measure \
-         scheduling overhead\",\n",
-    );
-    out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-    out.push_str(&format!("  \"hard_goal_violations\": {hard_total},\n"));
-    out.push_str("  \"classes\": [\n");
-    let class_lines: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{\"policy\": \"{}\", \"shards\": {}, \"violations\": {}, \
-                 \"hard_goal_violations\": {}, \"faults_injected\": {}, \
-                 \"guard_activations\": {}, \"fallback_epochs\": {}}}",
-                o.policy,
-                o.shards,
-                o.violations,
-                o.hard_goal_violations,
-                o.faults_injected,
-                o.guard_activations,
-                o.fallback_epochs
-            )
-        })
-        .collect();
-    out.push_str(&class_lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ]\n");
-    out.push_str("}\n");
-    out
+    let classes = outcomes.iter().map(|o| {
+        Json::obj([
+            ("policy", o.policy.as_str().into()),
+            ("shards", o.shards.into()),
+            ("violations", o.violations.into()),
+            ("hard_goal_violations", o.hard_goal_violations.into()),
+            ("faults_injected", o.faults_injected.into()),
+            ("guard_activations", o.guard_activations.into()),
+            ("fallback_epochs", o.fallback_epochs.into()),
+        ])
+    });
+    Json::obj([
+        ("scenarios", fleet_scenarios().len().into()),
+        ("seeds", Json::arr(seeds.iter().copied())),
+        ("shards", report.shards.len().into()),
+        artifact::host_cpus(),
+        ("note", PHASE_NOTE.into()),
+        ("reports_identical", reports_identical.into()),
+        ("hard_goal_violations", hard_total.into()),
+        ("classes", Json::arr(classes)),
+        artifact::phases(phases),
+    ])
 }
+
+/// The `note` of the chaos and resilience artifacts.
+pub(crate) const PHASE_NOTE: &str = "wall-clock figures are host-dependent; a 1-CPU host \
+     cannot show parallel speedup, so phase timings there only measure scheduling overhead";
 
 #[cfg(test)]
 mod tests {
@@ -237,7 +187,7 @@ mod tests {
                 wall: std::time::Duration::from_millis(300),
             },
         ];
-        let json = chaos_json(&[42], &report, true, &phases);
+        let json = chaos_json(&[42], &report, true, &phases).render();
         assert!(json.contains("\"seeds\": [42]"));
         assert!(json.contains("\"hard_goal_violations\": 0"));
         assert!(json.contains("\"reports_identical\": true"));

@@ -14,6 +14,8 @@ use smartconf_harness::{run_fleet, Baseline, FleetReport, Policy, Scenario};
 use smartconf_kvstore::scenarios::TwinQueues;
 use smartconf_runtime::FleetExecutor;
 
+use crate::artifact::{self, Json};
+
 /// All seven scenarios — the six Figure 5 case studies plus the §6.5
 /// twin-queue experiment — boxed behind the common trait.
 pub fn fleet_scenarios() -> Vec<Box<dyn Scenario + Send + Sync>> {
@@ -44,29 +46,35 @@ pub struct FleetPhase {
     pub wall: Duration,
 }
 
-/// Runs the seven-scenario smoke fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn smoke_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
-    let scenarios = fleet_scenarios();
-    let start = Instant::now();
-    let report = run_fleet(
-        &scenarios,
-        seeds,
-        &SMOKE_POLICIES,
-        &FleetExecutor::new(threads),
-    );
-    let phase = FleetPhase {
-        name: format!(
-            "fleet-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
+impl FleetPhase {
+    /// Times `run` as the phase `{prefix}-{threads}-thread(s)`.
+    pub fn time<R>(prefix: &str, threads: usize, run: impl FnOnce() -> R) -> (R, FleetPhase) {
+        let start = Instant::now();
+        let result = run();
+        let phase = FleetPhase {
+            name: format!(
+                "{prefix}-{threads}-thread{}",
+                if threads == 1 { "" } else { "s" }
+            ),
+            threads,
+            wall: start.elapsed(),
+        };
+        (result, phase)
+    }
 }
 
-/// Renders the `BENCH_fleet.json` artifact: the fleet's shape, whether
+/// Runs the seven-scenario roster under `policies` over `seeds` at
+/// `threads` workers — the smoke, chaos and resilience fleets.
+pub fn run_roster(policies: &[Policy], seeds: &[u64], threads: usize) -> FleetReport {
+    run_fleet(
+        &fleet_scenarios(),
+        seeds,
+        policies,
+        &FleetExecutor::new(threads),
+    )
+}
+
+/// Builds the `BENCH_fleet.json` artifact: the fleet's shape, whether
 /// the 1-thread and N-thread reports were byte-identical, the per-phase
 /// wall-clock, and the parallel speedup.
 pub fn bench_json(
@@ -74,45 +82,7 @@ pub fn bench_json(
     report: &FleetReport,
     reports_identical: bool,
     phases: &[FleetPhase],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    let policy_list: Vec<String> = SMOKE_POLICIES
-        .iter()
-        .map(|p| format!("\"{}\"", p.label()))
-        .collect();
-    out.push_str(&format!("  \"policies\": [{}],\n", policy_list.join(", ")));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so parallel_speedup below 1.0 there \
-         only measures scheduling overhead\",\n",
-    );
-    out.push_str(&format!(
-        "  \"constraint_satisfaction_rate\": {:.4},\n",
-        report.constraint_satisfaction_rate()
-    ));
-    out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ],\n");
+) -> Json {
     let serial = phases.iter().find(|p| p.threads == 1);
     let fastest_parallel = phases
         .iter()
@@ -120,17 +90,33 @@ pub fn bench_json(
         .min_by(|a, b| a.wall.cmp(&b.wall));
     let speedup = match (serial, fastest_parallel) {
         (Some(s), Some(p)) if p.wall.as_secs_f64() > 0.0 => {
-            s.wall.as_secs_f64() / p.wall.as_secs_f64()
+            Json::fixed(s.wall.as_secs_f64() / p.wall.as_secs_f64(), 2)
         }
-        _ => f64::NAN,
+        _ => Json::Null,
     };
-    if speedup.is_finite() {
-        out.push_str(&format!("  \"parallel_speedup\": {speedup:.2}\n"));
-    } else {
-        out.push_str("  \"parallel_speedup\": null\n");
-    }
-    out.push_str("}\n");
-    out
+    Json::obj([
+        ("scenarios", fleet_scenarios().len().into()),
+        ("seeds", Json::arr(seeds.iter().copied())),
+        (
+            "policies",
+            Json::arr(SMOKE_POLICIES.iter().map(|p| p.label())),
+        ),
+        ("shards", report.shards.len().into()),
+        artifact::host_cpus(),
+        (
+            "note",
+            "wall-clock figures are host-dependent; a 1-CPU host cannot show parallel \
+             speedup, so parallel_speedup below 1.0 there only measures scheduling overhead"
+                .into(),
+        ),
+        (
+            "constraint_satisfaction_rate",
+            Json::fixed(report.constraint_satisfaction_rate(), 4),
+        ),
+        ("reports_identical", reports_identical.into()),
+        artifact::phases(phases),
+        ("parallel_speedup", speedup),
+    ])
 }
 
 #[cfg(test)]
@@ -208,7 +194,7 @@ mod tests {
             threads: 4,
             wall: Duration::from_millis(500),
         };
-        let json = bench_json(&[42, 43], &report, true, &[phase, parallel]);
+        let json = bench_json(&[42, 43], &report, true, &[phase, parallel]).render();
         assert!(json.contains("\"seeds\": [42, 43]"));
         assert!(json.contains("\"reports_identical\": true"));
         assert!(json.contains("\"parallel_speedup\": 3.00"));

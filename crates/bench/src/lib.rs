@@ -28,6 +28,7 @@
 
 pub mod ablations;
 pub mod adaptive;
+pub mod artifact;
 pub mod chaos;
 pub mod figure5;
 pub mod figure6;

@@ -1,41 +1,37 @@
-//! The perf smoke benchmark: per-scenario epoch-loop throughput plus the
-//! end-to-end fleet wall-clock, with a regression gate against a
-//! committed baseline.
-//!
-//! Two numbers matter for the fleet-scale hot path:
+//! The perf smoke benchmark: per-scenario epoch-loop throughput, the
+//! event kernel's rate and the end-to-end fleet wall-clock, with a
+//! regression gate against a committed baseline.
 //!
 //! * **epochs/sec per scenario** — how fast one control plane's decide
 //!   loop turns over once profiling is out of the way (the §6.2 runtime
 //!   overhead story). Measured on a SmartConf run fed pre-collected
 //!   profiles, so the §6.1 profiling loop is excluded from the timing.
+//!   Recorded for trend-watching (and carried into each `"history"`
+//!   entry) but never gated: a sub-millisecond decide loop can jitter by
+//!   integer factors on shared CI hosts.
+//! * **kernel events/sec** — a synthetic heterogeneous-period plane
+//!   through `EventPlane` ([`measure_kernel`]); gated, higher is better.
 //! * **fleet wall-clock** — the serial end-to-end cost of the standard
-//!   smoke fleet (all seven scenarios × seeds × the three smoke
-//!   policies), profiling included. This is what the CI gate watches.
+//!   smoke fleet, profiling included; gated, lower is better.
 //!
-//! Only the fleet wall-clock and kernel rate are hard-gated: epochs/sec
-//! is recorded for trend-watching (and carried into the `"history"`
-//! record per scenario) but a per-scenario gate would be too noisy on
-//! shared CI hosts, where a sub-millisecond decide loop can jitter by
-//! integer factors.
-//!
-//! The gate has two modes. With fewer than [`STAT_MIN_HISTORY`] runs on
-//! record, a fresh number is compared to the committed headline with a
-//! raw ±[`TOLERANCE`] band. Once the baseline's `"history"` array holds
-//! [`STAT_MIN_HISTORY`] or more entries, the gate switches to the
-//! robust statistical band median ± [`STAT_K`]·MAD over the recorded
-//! trend ([`stat_gate`]) — a single slow committed run no longer skews
-//! the acceptance window, and genuine drifts are caught tighter than
-//! ±25 %.
+//! Each gate reads the baseline's trend: its `"history"` entries plus
+//! the headline ([`trend_gate`]). Below
+//! [`STAT_MIN_HISTORY`](crate::artifact::STAT_MIN_HISTORY) runs it is a
+//! raw ±[`TOLERANCE`] band around the headline; from there on it is the
+//! robust median ± [`STAT_K`](crate::artifact::STAT_K)·MAD over the
+//! trend, so one slow committed run no longer skews the window. The
+//! baseline is read strictly: a truncated or malformed artifact is an
+//! error naming the file and key, never a shorter trend or a silent
+//! switch of mode.
 
 use std::time::{Duration, Instant};
 
 use smartconf_core::{Controller, Goal, Hardness, ModelMode, SmartConf};
 use smartconf_harness::{Faults, RunSpec};
-use smartconf_runtime::{
-    ChannelId, ControlPlane, Decider, EventPlane, FleetExecutor, Plant, Sensed,
-};
+use smartconf_runtime::{ChannelId, ControlPlane, Decider, EventPlane, Plant, Sensed};
 
-use crate::fleet::{fleet_scenarios, smoke_run, FleetPhase, SMOKE_POLICIES};
+use crate::artifact::{self, read_artifact, Field, Gate, Json};
+use crate::fleet::{fleet_scenarios, run_roster, FleetPhase, SMOKE_POLICIES};
 
 /// Fractional wall-clock tolerance of the `--check` gate: a new fleet
 /// wall-clock above `baseline * (1 + TOLERANCE)` fails, and one below
@@ -57,12 +53,17 @@ pub struct ScenarioPerf {
 impl ScenarioPerf {
     /// Epoch-loop throughput; 0 when the wall-clock rounds to zero.
     pub fn epochs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.epochs as f64 / secs
-        } else {
-            0.0
-        }
+        per_sec(self.epochs, self.wall)
+    }
+}
+
+/// `count / wall`; 0 when the wall-clock rounds to zero.
+fn per_sec(count: u64, wall: Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
     }
 }
 
@@ -86,12 +87,7 @@ pub struct KernelPerf {
 impl KernelPerf {
     /// Event throughput; 0 when the wall-clock rounds to zero.
     pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
+        per_sec(self.events, self.wall)
     }
 }
 
@@ -182,7 +178,7 @@ pub fn measure_scenarios(seed: u64) -> Vec<ScenarioPerf> {
 /// Runs the standard smoke fleet serially over `seeds` and returns the
 /// timed phase — the end-to-end number the CI gate compares.
 pub fn measure_fleet(seeds: &[u64]) -> FleetPhase {
-    smoke_run(seeds, 1).1
+    FleetPhase::time("fleet", 1, || run_roster(&SMOKE_POLICIES, seeds, 1)).1
 }
 
 /// One discarded pass over every timed path before the real
@@ -201,205 +197,108 @@ pub fn warmup_pass(seed: u64) {
 /// Maximum prior runs retained in the artifact's `"history"` array.
 pub const HISTORY_CAP: usize = 32;
 
-/// Extracts the previous artifact's per-scenario epochs/sec as
-/// `(id, rate)` pairs, in document order. Used by [`carry_history`] so
-/// per-scenario trends survive into the history record instead of being
-/// lost between baseline rewrites.
-pub fn parse_scenario_rates(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    // Only the entries of the top-level "scenarios" array carry both an
-    // "id" and an "epochs_per_sec"; history entries embed rates under
-    // "scenario_rates" (no "id" keys), so this scan cannot double-count.
-    while let Some(pos) = rest.find("\"id\": \"") {
-        rest = &rest[pos + "\"id\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let id = rest[..end].to_string();
-        let Some(rate) = parse_number_after(rest, "\"epochs_per_sec\":") else {
-            break;
-        };
-        out.push((id, rate));
-    }
-    out
-}
-
 /// Carries the run history forward when rewriting `BENCH_perf.json`:
-/// extracts the previous artifact's `"history"` entries, appends the
-/// previous run's own headline numbers — fleet wall, kernel rate, *and*
-/// per-scenario epochs/sec — as the newest entry, and clamps to the most
-/// recent [`HISTORY_CAP`]. The entries use the keys `fleet_secs` /
-/// `kernel_rate` / `scenario_rates` (not the top-level key names) so the
-/// headline parsers keep finding the *current* run first.
-pub fn carry_history(previous: &str) -> Vec<String> {
-    let mut entries: Vec<String> = Vec::new();
-    if let Some(start) = previous.find("\"history\": [") {
-        let rest = &previous[start + "\"history\": [".len()..];
-        if let Some(end) = rest.find(']') {
-            entries.extend(
-                rest[..end]
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| l.starts_with('{'))
-                    .map(|l| l.trim_end_matches(',').to_string()),
-            );
-        }
-    }
-    if let (Some(fleet), Some(rate)) = (parse_fleet_wall(previous), parse_kernel_rate(previous)) {
-        let rates: Vec<String> = parse_scenario_rates(previous)
-            .iter()
-            .map(|(id, r)| format!("\"{id}\": {r:.0}"))
-            .collect();
-        // Carry the previous run's warmup flag into its history entry,
-        // so a trend mixing pre-warmup (cold-start-polluted) and warmed
-        // samples stays auditable. Artifacts written before the flag
-        // existed are recorded as un-warmed.
-        let warmed = previous.contains("\"warmup_pass\": true");
-        entries.push(format!(
-            "{{\"fleet_secs\": {fleet:.3}, \"kernel_rate\": {rate:.0}, \
-             \"warmup\": {warmed}, \"scenario_rates\": {{{}}}}}",
-            rates.join(", ")
-        ));
-    }
+/// the previous artifact's `"history"` entries, unchanged, then the
+/// previous run's own headline numbers — fleet wall, kernel rate, its
+/// warmup flag *and* per-scenario epochs/sec — as the newest entry,
+/// clamped to the most recent [`HISTORY_CAP`]. An artifact written
+/// before the warmup flag existed is recorded as un-warmed. Every
+/// history entry and headline must read as a number: a truncated or
+/// malformed artifact is an error, never a shortened trend.
+pub fn carry_history(previous: &Field) -> Result<Vec<Json>, String> {
+    let fleet = fleet_wall_series(previous)?;
+    let rate = kernel_rate_series(previous)?;
+    let rates = previous
+        .get("scenarios")?
+        .items()?
+        .iter()
+        .map(|s| {
+            let rate = s.get("epochs_per_sec")?.f64()?;
+            Ok((s.get("id")?.str()?, Json::fixed(rate, 0)))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let warmed = match previous.opt("warmup_pass")? {
+        Some(flag) => flag.bool()?,
+        None => false,
+    };
+    let mut entries: Vec<Json> = previous
+        .get("history")?
+        .items()?
+        .iter()
+        .map(|e| e.value().clone())
+        .collect();
+    entries.push(Json::obj([
+        ("fleet_secs", Json::fixed(fleet[fleet.len() - 1], 3)),
+        ("kernel_rate", Json::fixed(rate[rate.len() - 1], 0)),
+        ("warmup", warmed.into()),
+        ("scenario_rates", Json::obj(rates)),
+    ]));
     if entries.len() > HISTORY_CAP {
         entries.drain(..entries.len() - HISTORY_CAP);
     }
-    entries
+    Ok(entries)
 }
 
-/// Minimum history entries before the statistical gate replaces the raw
-/// ±[`TOLERANCE`] band.
-pub const STAT_MIN_HISTORY: usize = 5;
-
-/// Width of the statistical gate in MADs: a fresh number farther than
-/// `STAT_K · MAD` from the history median is out of band. k = 5 on a
-/// MAD (≈ 0.674 σ for normal noise) is roughly a 3.4 σ gate.
-pub const STAT_K: f64 = 5.0;
-
-/// Floor on the MAD as a fraction of the median: a history of
-/// near-identical runs would otherwise produce a near-zero MAD and gate
-/// on measurement noise.
-pub const STAT_MAD_FLOOR: f64 = 0.02;
-
-/// The history-derived statistical gate: median ± [`STAT_K`] · MAD.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatGate {
-    /// Median of the history series.
-    pub median: f64,
-    /// Median absolute deviation, floored at
-    /// [`STAT_MAD_FLOOR`] × |median|.
-    pub mad: f64,
-    /// Series length the gate was fit on.
-    pub n: usize,
-}
-
-impl StatGate {
-    /// Lower edge of the acceptance band.
-    pub fn lo(&self) -> f64 {
-        self.median - STAT_K * self.mad
+/// One headline's trend in a baseline: every history entry's
+/// `history_key`, then the headline at the key path `headline`.
+fn trend(baseline: &Field, history_key: &str, headline: &[&str]) -> Result<Vec<f64>, String> {
+    let mut series = baseline
+        .get("history")?
+        .items()?
+        .iter()
+        .map(|e| e.get(history_key)?.f64())
+        .collect::<Result<Vec<f64>, String>>()?;
+    let mut field = baseline.clone();
+    for key in headline {
+        field = field.get(key)?;
     }
-
-    /// Upper edge of the acceptance band.
-    pub fn hi(&self) -> f64 {
-        self.median + STAT_K * self.mad
-    }
-}
-
-fn median_of(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// Fits the median ± k·MAD gate over a history series, or `None` when
-/// the series is shorter than [`STAT_MIN_HISTORY`] (callers fall back
-/// to the raw ±[`TOLERANCE`] band).
-pub fn stat_gate(series: &[f64]) -> Option<StatGate> {
-    let mut sorted: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    if sorted.len() < STAT_MIN_HISTORY {
-        return None;
-    }
-    sorted.sort_by(f64::total_cmp);
-    let median = median_of(&sorted);
-    let mut devs: Vec<f64> = sorted.iter().map(|v| (v - median).abs()).collect();
-    devs.sort_by(f64::total_cmp);
-    let mad = median_of(&devs).max(STAT_MAD_FLOOR * median.abs());
-    Some(StatGate {
-        median,
-        mad,
-        n: sorted.len(),
-    })
-}
-
-/// Every occurrence of `"key": <number>` in `json`, in document order —
-/// applied to a baseline artifact whose history entries use the key,
-/// this recovers the full trend series (history entries first, then the
-/// headline run if it shares the key).
-pub fn parse_series(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        if let Some(v) = rest
-            .trim_start()
-            .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .next()
-            .and_then(|t| t.parse::<f64>().ok())
-        {
-            out.push(v);
-        }
-    }
-    out
+    series.push(field.f64()?);
+    Ok(series)
 }
 
 /// The baseline's fleet wall-clock trend: history entries
 /// (`fleet_secs`) plus the headline run (`fleet_wall_clock_secs`).
-pub fn fleet_wall_series(baseline: &str) -> Vec<f64> {
-    let mut series = parse_series(baseline, "fleet_secs");
-    series.extend(parse_fleet_wall(baseline));
-    series
+pub fn fleet_wall_series(baseline: &Field) -> Result<Vec<f64>, String> {
+    trend(baseline, "fleet_secs", &["fleet_wall_clock_secs"])
 }
 
 /// The baseline's kernel-rate trend: history entries (`kernel_rate`)
-/// plus the headline run (`events_per_sec`).
-pub fn kernel_rate_series(baseline: &str) -> Vec<f64> {
-    let mut series = parse_series(baseline, "kernel_rate");
-    series.extend(parse_kernel_rate(baseline));
-    series
+/// plus the headline run (`kernel.events_per_sec`).
+pub fn kernel_rate_series(baseline: &Field) -> Result<Vec<f64>, String> {
+    trend(baseline, "kernel_rate", &["kernel", "events_per_sec"])
 }
 
-/// Gates a fresh fleet wall-clock against the statistical band: slower
-/// than the upper edge is a regression, faster than the lower edge
-/// means the history understates the current code (stale).
-pub fn check_fleet_wall_stat(gate: &StatGate, new_secs: f64) -> CheckVerdict {
-    if new_secs > gate.hi() {
-        CheckVerdict::Regression
-    } else if new_secs < gate.lo() {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
+/// The gate for one headline trend (as read by [`fleet_wall_series`] or
+/// [`kernel_rate_series`], headline last): median ± k·MAD once the
+/// series holds [`STAT_MIN_HISTORY`](crate::artifact::STAT_MIN_HISTORY) finite runs, else ±[`TOLERANCE`]
+/// around the headline.
+pub fn trend_gate(series: &[f64]) -> Gate {
+    Gate::stat(series).unwrap_or(Gate::Band {
+        reference: series[series.len() - 1],
+        tol: TOLERANCE,
+    })
 }
 
-/// Gates a fresh kernel rate against the statistical band, directions
-/// inverted relative to [`check_fleet_wall_stat`]: a rate regresses by
-/// *dropping* below the band.
-pub fn check_kernel_rate_stat(gate: &StatGate, new_rate: f64) -> CheckVerdict {
-    if new_rate < gate.lo() {
-        CheckVerdict::Regression
-    } else if new_rate > gate.hi() {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
+/// Reads the baseline at `path` and returns its fleet wall-clock and
+/// kernel-rate gates ([`trend_gate`]).
+pub fn baseline_gates(path: &str) -> Result<(Gate, Gate), String> {
+    let doc = read_artifact("baseline", path)?;
+    let source = format!("baseline {path}");
+    let root = Field::root(&source, &doc);
+    let walls = fleet_wall_series(&root)?;
+    Ok((trend_gate(&walls), trend_gate(&kernel_rate_series(&root)?)))
 }
 
-/// Renders the `BENCH_perf.json` artifact. `history` holds prior runs'
-/// compact entries (see [`carry_history`]); pass `&[]` for a fresh
-/// artifact with no predecessors.
+/// Reads the previous artifact at `path` and carries its history
+/// forward ([`carry_history`]).
+pub fn read_history(path: &str) -> Result<Vec<Json>, String> {
+    let doc = read_artifact("previous", path)?;
+    carry_history(&Field::root(&format!("previous {path}"), &doc))
+}
+
+/// Builds the `BENCH_perf.json` artifact. `history` holds prior runs'
+/// entries (see [`carry_history`]); pass `&[]` for a fresh artifact
+/// with no predecessors.
 pub fn bench_json(
     seed: u64,
     scenarios: &[ScenarioPerf],
@@ -407,136 +306,84 @@ pub fn bench_json(
     seeds: &[u64],
     fleet: &FleetPhase,
     warmed: bool,
-    history: &[String],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; on a 1-CPU host \
-         parallel phases cannot show speedup, so only the serial fleet \
-         wall-clock is gated\",\n",
-    );
-    out.push_str(&format!("  \"scenario_seed\": {seed},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    let lines: Vec<String> = scenarios
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"id\": \"{}\", \"epochs\": {}, \"wall_clock_secs\": {:.6}, \"epochs_per_sec\": {:.0}}}",
-                s.id,
-                s.epochs,
-                s.wall.as_secs_f64(),
-                s.epochs_per_sec()
-            )
-        })
-        .collect();
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"kernel\": {{\"channels\": {}, \"events\": {}, \"wall_clock_secs\": {:.6}, \"events_per_sec\": {:.0}}},\n",
-        kernel.channels,
-        kernel.events,
-        kernel.wall.as_secs_f64(),
-        kernel.events_per_sec()
-    ));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"fleet_seeds\": [{}],\n", seed_list.join(", ")));
-    let policy_list: Vec<String> = SMOKE_POLICIES
-        .iter()
-        .map(|p| format!("\"{}\"", p.label()))
-        .collect();
-    out.push_str(&format!(
-        "  \"fleet_policies\": [{}],\n",
-        policy_list.join(", ")
-    ));
-    out.push_str(&format!("  \"warmup_pass\": {warmed},\n"));
-    out.push_str(&format!(
-        "  \"fleet_wall_clock_secs\": {:.3},\n",
-        fleet.wall.as_secs_f64()
-    ));
-    // History goes last so the headline parsers above (which take the
-    // first occurrence of their key) always read the current run.
-    if history.is_empty() {
-        out.push_str("  \"history\": []\n");
-    } else {
-        out.push_str("  \"history\": [\n");
-        let lines: Vec<String> = history.iter().map(|h| format!("    {h}")).collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Extracts `"fleet_wall_clock_secs"` from a `BENCH_perf.json` rendering
-/// (the artifact is hand-rolled, so so is the parse).
-pub fn parse_fleet_wall(json: &str) -> Option<f64> {
-    parse_number_after(json, "\"fleet_wall_clock_secs\":")
-}
-
-/// Extracts the kernel's `"events_per_sec"` from a `BENCH_perf.json`
-/// rendering (the key only occurs inside the `"kernel"` object; the
-/// per-scenario entries record `epochs_per_sec`).
-pub fn parse_kernel_rate(json: &str) -> Option<f64> {
-    parse_number_after(json, "\"events_per_sec\":")
-}
-
-fn parse_number_after(json: &str, key: &str) -> Option<f64> {
-    let rest = &json[json.find(key)? + key.len()..];
-    rest.trim_start()
-        .trim_end_matches(char::is_whitespace)
-        .split(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .next()?
-        .parse()
-        .ok()
-}
-
-/// The `--check` verdict: how a fresh fleet wall-clock compares to the
-/// committed baseline under [`TOLERANCE`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckVerdict {
-    /// Within tolerance of the baseline.
-    Ok,
-    /// Faster than the lower tolerance bound — not a failure, but the
-    /// committed baseline understates the current code and should be
-    /// regenerated.
-    BaselineStale,
-    /// Slower than the upper tolerance bound — a perf regression.
-    Regression,
-}
-
-/// Gates `new_secs` against `baseline_secs` under [`TOLERANCE`].
-pub fn check_fleet_wall(baseline_secs: f64, new_secs: f64) -> CheckVerdict {
-    if new_secs > baseline_secs * (1.0 + TOLERANCE) {
-        CheckVerdict::Regression
-    } else if new_secs < baseline_secs * (1.0 - TOLERANCE) {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
-}
-
-/// Gates the kernel's events/sec against a baseline under the same
-/// ±[`TOLERANCE`] band, with the directions inverted relative to
-/// [`check_fleet_wall`]: a *rate* regresses by dropping below
-/// `baseline * (1 − TOLERANCE)`, and beats the baseline (stale) above
-/// `baseline * (1 + TOLERANCE)`.
-pub fn check_kernel_rate(baseline_rate: f64, new_rate: f64) -> CheckVerdict {
-    if new_rate < baseline_rate * (1.0 - TOLERANCE) {
-        CheckVerdict::Regression
-    } else if new_rate > baseline_rate * (1.0 + TOLERANCE) {
-        CheckVerdict::BaselineStale
-    } else {
-        CheckVerdict::Ok
-    }
+    history: &[Json],
+) -> Json {
+    let rows = scenarios.iter().map(|s| {
+        Json::obj([
+            ("id", s.id.as_str().into()),
+            ("epochs", s.epochs.into()),
+            ("wall_clock_secs", Json::fixed(s.wall.as_secs_f64(), 6)),
+            ("epochs_per_sec", Json::fixed(s.epochs_per_sec(), 0)),
+        ])
+    });
+    Json::obj([
+        artifact::host_cpus(),
+        (
+            "note",
+            "wall-clock figures are host-dependent; on a 1-CPU host parallel phases \
+             cannot show speedup, so only the serial fleet wall-clock is gated"
+                .into(),
+        ),
+        ("scenario_seed", seed.into()),
+        ("scenarios", Json::arr(rows)),
+        (
+            "kernel",
+            Json::obj([
+                ("channels", kernel.channels.into()),
+                ("events", kernel.events.into()),
+                ("wall_clock_secs", Json::fixed(kernel.wall.as_secs_f64(), 6)),
+                ("events_per_sec", Json::fixed(kernel.events_per_sec(), 0)),
+            ]),
+        ),
+        ("fleet_seeds", Json::arr(seeds.iter().copied())),
+        (
+            "fleet_policies",
+            Json::arr(SMOKE_POLICIES.iter().map(|p| p.label())),
+        ),
+        ("warmup_pass", warmed.into()),
+        (
+            "fleet_wall_clock_secs",
+            Json::fixed(fleet.wall.as_secs_f64(), 3),
+        ),
+        ("history", Json::Arr(history.to_vec())),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Better, CheckVerdict, STAT_MAD_FLOOR, STAT_MIN_HISTORY};
+
+    fn kernel() -> KernelPerf {
+        KernelPerf {
+            channels: 8,
+            events: 100_000,
+            wall: Duration::from_millis(50),
+        }
+    }
+
+    fn fleet() -> FleetPhase {
+        FleetPhase {
+            name: "fleet-1-thread".into(),
+            threads: 1,
+            wall: Duration::from_millis(2500),
+        }
+    }
+
+    fn root(json: &Json) -> Field<'_> {
+        Field::root("test artifact", json)
+    }
+
+    fn carry(json: &Json) -> Vec<Json> {
+        carry_history(&root(json)).expect("well-formed artifact")
+    }
+
+    fn band(reference: f64) -> Gate {
+        Gate::Band {
+            reference,
+            tol: TOLERANCE,
+        }
+    }
 
     #[test]
     fn bench_json_is_well_formed_and_round_trips() {
@@ -545,24 +392,17 @@ mod tests {
             epochs: 1200,
             wall: Duration::from_millis(60),
         }];
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let json = bench_json(42, &scenarios, &kernel, &[42, 43], &fleet, true, &[]);
+        let doc = bench_json(42, &scenarios, &kernel(), &[42, 43], &fleet(), true, &[]);
+        let json = doc.render();
         assert!(json.contains("\"epochs\": 1200"));
         assert!(json.contains("\"epochs_per_sec\": 20000"));
         assert!(json.contains("\"events\": 100000"));
         assert!(json.contains("\"events_per_sec\": 2000000"));
         assert!(json.contains("\"fleet_seeds\": [42, 43]"));
         assert!(json.contains("\"host_cpus\": "));
-        assert_eq!(parse_fleet_wall(&json), Some(2.5));
+        let parsed = Json::parse(&json).expect("strict reader accepts the writer");
+        assert_eq!(parsed, doc);
+        assert_eq!(fleet_wall_series(&root(&parsed)), Ok(vec![2.5]));
     }
 
     #[test]
@@ -576,11 +416,12 @@ mod tests {
 
     #[test]
     fn check_gates_on_the_upper_bound_only() {
-        assert_eq!(check_fleet_wall(4.0, 4.0), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 4.99), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 5.01), CheckVerdict::Regression);
-        assert_eq!(check_fleet_wall(4.0, 3.01), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall(4.0, 2.99), CheckVerdict::BaselineStale);
+        let check = |x| band(4.0).check(x, Better::Lower);
+        assert_eq!(check(4.0), CheckVerdict::Ok);
+        assert_eq!(check(4.99), CheckVerdict::Ok);
+        assert_eq!(check(5.01), CheckVerdict::Regression);
+        assert_eq!(check(3.01), CheckVerdict::Ok);
+        assert_eq!(check(2.99), CheckVerdict::BaselineStale);
     }
 
     #[test]
@@ -595,78 +436,52 @@ mod tests {
 
     #[test]
     fn parse_rejects_missing_key() {
-        assert_eq!(parse_fleet_wall("{}"), None);
-        assert_eq!(parse_kernel_rate("{}"), None);
+        let empty = Json::parse("{}").unwrap();
+        assert_eq!(
+            fleet_wall_series(&root(&empty)),
+            Err("malformed test artifact: `history` is missing".into())
+        );
+        let no_kernel = Json::parse("{\"history\": []}").unwrap();
+        assert_eq!(
+            kernel_rate_series(&root(&no_kernel)),
+            Err("malformed test artifact: `kernel` is missing".into())
+        );
     }
 
     #[test]
     fn kernel_check_gates_on_the_lower_bound_only() {
-        assert_eq!(check_kernel_rate(4e6, 4e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 3.01e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 2.99e6), CheckVerdict::Regression);
-        assert_eq!(check_kernel_rate(4e6, 4.99e6), CheckVerdict::Ok);
-        assert_eq!(check_kernel_rate(4e6, 5.01e6), CheckVerdict::BaselineStale);
+        let check = |x| band(4e6).check(x, Better::Higher);
+        assert_eq!(check(4e6), CheckVerdict::Ok);
+        assert_eq!(check(3.01e6), CheckVerdict::Ok);
+        assert_eq!(check(2.99e6), CheckVerdict::Regression);
+        assert_eq!(check(4.99e6), CheckVerdict::Ok);
+        assert_eq!(check(5.01e6), CheckVerdict::BaselineStale);
     }
 
     #[test]
     fn kernel_rate_parses_from_rendered_json() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        assert_eq!(parse_kernel_rate(&json), Some(2_000_000.0));
+        let json = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &[]).render();
+        let parsed = Json::parse(&json).unwrap();
+        assert_eq!(kernel_rate_series(&root(&parsed)), Ok(vec![2_000_000.0]));
     }
 
     #[test]
     fn history_accumulates_across_rewrites() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
         // First write: no predecessor, empty history.
-        let first = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        assert!(first.contains("\"history\": []"));
+        let first = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &[]);
+        assert!(first.render().contains("\"history\": []"));
         // Second write: the first run's headline numbers become history.
-        let second = bench_json(
-            42,
-            &[],
-            &kernel,
-            &[42],
-            &fleet,
-            true,
-            &carry_history(&first),
-        );
-        assert!(second.contains(
+        let second = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &carry(&first));
+        assert!(second.render().contains(
             "{\"fleet_secs\": 2.500, \"kernel_rate\": 2000000, \"warmup\": true, \
              \"scenario_rates\": {}}"
         ));
         // Third write: both prior runs are retained, in order.
-        let third = bench_json(
-            42,
-            &[],
-            &kernel,
-            &[42],
-            &fleet,
-            true,
-            &carry_history(&second),
-        );
-        assert_eq!(third.matches("\"fleet_secs\"").count(), 2);
-        // The headline parsers still read the current run, not history.
-        assert_eq!(parse_fleet_wall(&third), Some(2.5));
-        assert_eq!(parse_kernel_rate(&third), Some(2_000_000.0));
+        let third = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &carry(&second));
+        assert_eq!(third.render().matches("\"fleet_secs\"").count(), 2);
+        // The headline is still the current run, not history.
+        assert_eq!(fleet_wall_series(&root(&third)), Ok(vec![2.5; 3]));
+        assert_eq!(kernel_rate_series(&root(&third)), Ok(vec![2e6; 3]));
     }
 
     #[test]
@@ -683,153 +498,135 @@ mod tests {
                 wall: Duration::from_millis(100),
             },
         ];
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let first = bench_json(42, &scenarios, &kernel, &[42], &fleet, true, &[]);
-        assert_eq!(
-            parse_scenario_rates(&first),
-            vec![
-                ("CA6059".to_string(), 100_000.0),
-                ("HD4995".to_string(), 1_000.0)
-            ]
-        );
+        let first = bench_json(42, &scenarios, &kernel(), &[42], &fleet(), true, &[]);
         // The carried entry embeds both scenarios' rates, so per-scenario
         // trends survive baseline rewrites.
         let second = bench_json(
             42,
             &scenarios,
-            &kernel,
+            &kernel(),
             &[42],
-            &fleet,
+            &fleet(),
             true,
-            &carry_history(&first),
+            &carry(&first),
         );
+        let text = second.render();
         assert!(
-            second.contains("\"scenario_rates\": {\"CA6059\": 100000, \"HD4995\": 1000}"),
-            "{second}"
+            text.contains("\"scenario_rates\": {\"CA6059\": 100000, \"HD4995\": 1000}"),
+            "{text}"
         );
-        // History rates do not confuse the headline scenario parser.
-        assert_eq!(parse_scenario_rates(&second).len(), 2);
+        // History rates stay out of the headline scenario rows.
+        assert_eq!(
+            root(&second)
+                .get("scenarios")
+                .unwrap()
+                .items()
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]
     fn stat_gate_needs_minimum_history() {
-        assert_eq!(stat_gate(&[4.0; STAT_MIN_HISTORY - 1]), None);
-        let g = stat_gate(&[4.0; STAT_MIN_HISTORY]).expect("enough history");
-        assert_eq!(g.median, 4.0);
-        assert_eq!(g.n, STAT_MIN_HISTORY);
+        assert_eq!(Gate::stat(&[4.0; STAT_MIN_HISTORY - 1]), None);
+        let Some(Gate::Stat { median, n, .. }) = Gate::stat(&[4.0; STAT_MIN_HISTORY]) else {
+            panic!("enough history");
+        };
+        assert_eq!(median, 4.0);
+        assert_eq!(n, STAT_MIN_HISTORY);
     }
 
     #[test]
     fn stat_gate_uses_median_and_mad() {
         // Series with one outlier: the median/MAD shrug it off where a
         // mean/stddev gate would be dragged wide.
-        let g = stat_gate(&[4.0, 4.1, 3.9, 4.05, 40.0]).expect("gate");
-        assert!((g.median - 4.05).abs() < 1e-12);
-        assert!(g.mad < 0.2, "mad {}", g.mad);
-        assert_eq!(check_fleet_wall_stat(&g, g.median), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall_stat(&g, 40.0), CheckVerdict::Regression);
-        assert_eq!(check_fleet_wall_stat(&g, 0.5), CheckVerdict::BaselineStale);
+        let g = Gate::stat(&[4.0, 4.1, 3.9, 4.05, 40.0]).expect("gate");
+        let Gate::Stat { median, mad, .. } = g else {
+            panic!("stat gate");
+        };
+        assert!((median - 4.05).abs() < 1e-12);
+        assert!(mad < 0.2, "mad {mad}");
+        assert_eq!(g.check(median, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(g.check(40.0, Better::Lower), CheckVerdict::Regression);
+        assert_eq!(g.check(0.5, Better::Lower), CheckVerdict::BaselineStale);
     }
 
     #[test]
     fn stat_gate_floors_mad_on_identical_history() {
         // Five byte-identical runs: raw MAD is 0; the floor keeps a
         // ±STAT_K·2% band so normal noise does not fail the gate.
-        let g = stat_gate(&[4.0; 5]).expect("gate");
-        assert_eq!(g.mad, STAT_MAD_FLOOR * 4.0);
-        assert_eq!(check_fleet_wall_stat(&g, 4.3), CheckVerdict::Ok);
-        assert_eq!(check_fleet_wall_stat(&g, 4.5), CheckVerdict::Regression);
+        let g = Gate::stat(&[4.0; 5]).expect("gate");
+        assert!(matches!(g, Gate::Stat { mad, .. } if mad == STAT_MAD_FLOOR * 4.0));
+        assert_eq!(g.check(4.3, Better::Lower), CheckVerdict::Ok);
+        assert_eq!(g.check(4.5, Better::Lower), CheckVerdict::Regression);
         // Kernel direction is inverted.
-        assert_eq!(check_kernel_rate_stat(&g, 3.5), CheckVerdict::Regression);
-        assert_eq!(check_kernel_rate_stat(&g, 4.5), CheckVerdict::BaselineStale);
-        assert_eq!(check_kernel_rate_stat(&g, 4.1), CheckVerdict::Ok);
+        assert_eq!(g.check(3.5, Better::Higher), CheckVerdict::Regression);
+        assert_eq!(g.check(4.5, Better::Higher), CheckVerdict::BaselineStale);
+        assert_eq!(g.check(4.1, Better::Higher), CheckVerdict::Ok);
     }
 
     #[test]
     fn series_parsers_recover_history_plus_headline() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let mut json = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
+        let mut json = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &[]);
         // Grow a 6-entry history by repeated rewrites.
         for _ in 0..6 {
-            json = bench_json(42, &[], &kernel, &[42], &fleet, true, &carry_history(&json));
+            json = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &carry(&json));
         }
-        let walls = fleet_wall_series(&json);
-        let rates = kernel_rate_series(&json);
+        let walls = fleet_wall_series(&root(&json)).unwrap();
+        let rates = kernel_rate_series(&root(&json)).unwrap();
         assert_eq!(walls.len(), 7, "{walls:?}"); // 6 history + headline
         assert_eq!(rates.len(), 7, "{rates:?}");
         assert!(walls.iter().all(|&w| (w - 2.5).abs() < 1e-9));
-        assert!(stat_gate(&walls).is_some());
+        assert!(matches!(trend_gate(&walls), Gate::Stat { n: 7, .. }));
+        // Below the minimum history the gate is the band on the headline.
+        assert_eq!(trend_gate(&walls[3..]), band(2.5));
     }
 
     #[test]
     fn warmup_flag_is_carried_into_history_entries() {
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
+        let entry = |warmed| {
+            let doc = bench_json(42, &[], &kernel(), &[42], &fleet(), warmed, &[]);
+            assert!(doc.render().contains(&format!("\"warmup_pass\": {warmed}")));
+            carry(&doc).pop().unwrap().render()
         };
         // A warmed artifact's headline carries into history flagged true.
-        let warmed = bench_json(42, &[], &kernel, &[42], &fleet, true, &[]);
-        assert!(warmed.contains("\"warmup_pass\": true"));
-        let carried = carry_history(&warmed);
-        assert!(carried.last().unwrap().contains("\"warmup\": true"));
-        // An artifact written without a warmup pass — including any
-        // predating the flag — is annotated false, keeping cold-start
-        // samples distinguishable in the trend.
-        let cold = bench_json(42, &[], &kernel, &[42], &fleet, false, &[]);
-        assert!(cold.contains("\"warmup_pass\": false"));
-        let carried = carry_history(&cold);
-        assert!(carried.last().unwrap().contains("\"warmup\": false"));
+        assert!(entry(true).contains("\"warmup\": true"));
+        // An artifact written without a warmup pass is annotated false,
+        // keeping cold-start samples distinguishable in the trend.
+        assert!(entry(false).contains("\"warmup\": false"));
+        // So is one predating the flag.
+        let mut old = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &[]);
+        if let Json::Obj(members) = &mut old {
+            members.retain(|(k, _)| k != "warmup_pass");
+        }
+        assert!(carry(&old)
+            .pop()
+            .unwrap()
+            .render()
+            .contains("\"warmup\": false"));
     }
 
     #[test]
     fn history_clamps_at_the_cap() {
-        let seeded: Vec<String> = (0..HISTORY_CAP + 5)
-            .map(|i| format!("{{\"fleet_secs\": {i}.000, \"kernel_rate\": 1}}"))
+        let seeded: Vec<Json> = (0..HISTORY_CAP + 5)
+            .map(|i| {
+                Json::obj([
+                    ("fleet_secs", Json::Num(format!("{i}.000"))),
+                    ("kernel_rate", Json::from(1u64)),
+                ])
+            })
             .collect();
-        let kernel = KernelPerf {
-            channels: 8,
-            events: 100_000,
-            wall: Duration::from_millis(50),
-        };
-        let fleet = FleetPhase {
-            name: "fleet-1-thread".into(),
-            threads: 1,
-            wall: Duration::from_millis(2500),
-        };
-        let json = bench_json(42, &[], &kernel, &[42], &fleet, true, &seeded);
-        let carried = carry_history(&json);
+        let json = bench_json(42, &[], &kernel(), &[42], &fleet(), true, &seeded);
+        let carried = carry(&json);
         assert_eq!(carried.len(), HISTORY_CAP);
         // The newest entry is the artifact's own headline run; the
         // oldest seeded entries were dropped.
-        assert_eq!(
-            carried.last().unwrap(),
-            "{\"fleet_secs\": 2.500, \"kernel_rate\": 2000000, \"warmup\": true, \
-             \"scenario_rates\": {}}"
-        );
-        assert!(!carried.iter().any(|e| e.contains("\"fleet_secs\": 0.000")));
+        let newest = "{\"fleet_secs\": 2.500, \"kernel_rate\": 2000000, \"warmup\": true, \
+                      \"scenario_rates\": {}}";
+        assert_eq!(carried.last(), Json::parse(newest).ok().as_ref());
+        assert!(!carried
+            .iter()
+            .any(|e| e.render().contains("\"fleet_secs\": 0.000")));
     }
 }

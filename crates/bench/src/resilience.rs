@@ -14,13 +14,13 @@
 //! like the clean fleet and the chaos sweep.
 //!
 //! [`EpochSummary`]: smartconf_runtime::EpochSummary
+//! [`FleetExecutor`]: smartconf_runtime::FleetExecutor
 
-use std::time::Instant;
+use smartconf_harness::{FleetReport, Policy};
+use smartconf_runtime::{Campaign, FaultSet};
 
-use smartconf_harness::{run_fleet, FleetReport, Policy};
-use smartconf_runtime::{Campaign, FaultSet, FleetExecutor};
-
-use crate::chaos::HARD_GOAL_SCENARIOS;
+use crate::artifact::{self, Json};
+use crate::chaos::{HARD_GOAL_SCENARIOS, PHASE_NOTE};
 use crate::fleet::{fleet_scenarios, FleetPhase};
 
 /// The campaign policies: the clean SmartConf baseline and its
@@ -35,27 +35,9 @@ pub fn campaign_policies() -> Vec<Policy> {
     policies
 }
 
-/// Runs the seven-scenario campaign fleet over `seeds` at `threads`
-/// workers, returning the merged report and the phase's wall-clock.
-pub fn resilience_run(seeds: &[u64], threads: usize) -> (FleetReport, FleetPhase) {
-    let scenarios = fleet_scenarios();
-    let policies = campaign_policies();
-    let start = Instant::now();
-    let report = run_fleet(&scenarios, seeds, &policies, &FleetExecutor::new(threads));
-    let phase = FleetPhase {
-        name: format!(
-            "resilience-{threads}-thread{}",
-            if threads == 1 { "" } else { "s" }
-        ),
-        threads,
-        wall: start.elapsed(),
-    };
-    (report, phase)
-}
-
 /// Recovery-SLO aggregates for one (scenario, policy) cell of the
 /// campaign sweep, merged across that cell's seeds and channels.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignOutcome {
     /// Scenario identifier, e.g. `"HB6728"`.
     pub scenario: String,
@@ -138,19 +120,7 @@ pub fn campaign_outcomes(report: &FleetReport) -> Vec<CampaignOutcome> {
                     scenario: shard.scenario_id.clone(),
                     policy: shard.policy.clone(),
                     hard_goal: HARD_GOAL_SCENARIOS.contains(&shard.scenario_id.as_str()),
-                    shards: 0,
-                    violations: 0,
-                    faults_injected: 0,
-                    guard_activations: 0,
-                    fallback_epochs: 0,
-                    reengages: 0,
-                    max_epochs_to_reengage: 0,
-                    violation_bursts: 0,
-                    violation_burst_max: 0,
-                    violation_burst_p99: 0,
-                    recoveries: [0; 8],
-                    mttr_weight: [0.0; 8],
-                    unrecovered: 0,
+                    ..Default::default()
                 });
                 outcomes.last_mut().expect("just pushed")
             }
@@ -194,100 +164,59 @@ pub fn hard_goal_violations(outcomes: &[CampaignOutcome]) -> usize {
         .sum()
 }
 
-/// Renders one outcome cell's `mttr_by_class` object: only classes that
-/// actually recovered at least once appear, keyed by
-/// [`FaultSet::BIT_LABELS`].
-fn mttr_by_class_json(outcome: &CampaignOutcome) -> String {
-    let mttr = outcome.mttr();
-    let entries: Vec<String> = FaultSet::BIT_LABELS
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| outcome.recoveries[*i] > 0)
-        .map(|(i, label)| format!("\"{}\": {:.1}", label, mttr[i]))
-        .collect();
-    format!("{{{}}}", entries.join(", "))
-}
-
-/// Renders the `BENCH_resilience.json` artifact.
+/// Builds the `BENCH_resilience.json` artifact. Each outcome's
+/// `mttr_by_class` lists only the fault classes that recovered at least
+/// once, keyed by [`FaultSet::BIT_LABELS`].
 pub fn resilience_json(
     seeds: &[u64],
     report: &FleetReport,
     reports_identical: bool,
     phases: &[FleetPhase],
-) -> String {
+) -> Json {
     let outcomes = campaign_outcomes(report);
-    let hard_total = hard_goal_violations(&outcomes);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenarios\": {},\n", fleet_scenarios().len()));
-    let seed_list: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!("  \"seeds\": [{}],\n", seed_list.join(", ")));
-    let campaign_list: Vec<String> = Campaign::ALL
-        .iter()
-        .map(|c| format!("\"{}\"", c.label()))
-        .collect();
-    out.push_str(&format!(
-        "  \"campaigns\": [{}],\n",
-        campaign_list.join(", ")
-    ));
-    out.push_str(&format!("  \"shards\": {},\n", report.shards.len()));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"wall-clock figures are host-dependent; a 1-CPU host \
-         cannot show parallel speedup, so phase timings there only measure \
-         scheduling overhead\",\n",
-    );
-    out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-    out.push_str(&format!("  \"hard_goal_violations\": {hard_total},\n"));
-    out.push_str("  \"outcomes\": [\n");
-    let outcome_lines: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{\"scenario\": \"{}\", \"policy\": \"{}\", \"hard_goal\": {}, \
-                 \"violations\": {}, \"faults_injected\": {}, \"guard_activations\": {}, \
-                 \"fallback_epochs\": {}, \"reengages\": {}, \"max_epochs_to_reengage\": {}, \
-                 \"violation_bursts\": {}, \"burst_p99\": {}, \"burst_max\": {}, \
-                 \"mttr_epochs\": {:.1}, \"unrecovered_channels\": {}, \
-                 \"mttr_by_class\": {}}}",
-                o.scenario,
-                o.policy,
-                o.hard_goal,
-                o.violations,
-                o.faults_injected,
-                o.guard_activations,
-                o.fallback_epochs,
-                o.reengages,
-                o.max_epochs_to_reengage,
-                o.violation_bursts,
-                o.violation_burst_p99,
-                o.violation_burst_max,
-                o.mttr_overall(),
-                o.unrecovered,
-                mttr_by_class_json(o)
-            )
-        })
-        .collect();
-    out.push_str(&outcome_lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ]\n");
-    out.push_str("}\n");
-    out
+    let rows = outcomes.iter().map(|o| {
+        let mttr = o.mttr();
+        let by_class = FaultSet::BIT_LABELS
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| o.recoveries[*i] > 0)
+            .map(|(i, label)| (*label, Json::fixed(mttr[i], 1)));
+        Json::obj([
+            ("scenario", o.scenario.as_str().into()),
+            ("policy", o.policy.as_str().into()),
+            ("hard_goal", o.hard_goal.into()),
+            ("violations", o.violations.into()),
+            ("faults_injected", o.faults_injected.into()),
+            ("guard_activations", o.guard_activations.into()),
+            ("fallback_epochs", o.fallback_epochs.into()),
+            ("reengages", o.reengages.into()),
+            ("max_epochs_to_reengage", o.max_epochs_to_reengage.into()),
+            ("violation_bursts", o.violation_bursts.into()),
+            ("burst_p99", o.violation_burst_p99.into()),
+            ("burst_max", o.violation_burst_max.into()),
+            ("mttr_epochs", Json::fixed(o.mttr_overall(), 1)),
+            ("unrecovered_channels", o.unrecovered.into()),
+            ("mttr_by_class", Json::obj(by_class)),
+        ])
+    });
+    Json::obj([
+        ("scenarios", fleet_scenarios().len().into()),
+        ("seeds", Json::arr(seeds.iter().copied())),
+        (
+            "campaigns",
+            Json::arr(Campaign::ALL.iter().map(|c| c.label())),
+        ),
+        ("shards", report.shards.len().into()),
+        artifact::host_cpus(),
+        ("note", PHASE_NOTE.into()),
+        ("reports_identical", reports_identical.into()),
+        (
+            "hard_goal_violations",
+            hard_goal_violations(&outcomes).into(),
+        ),
+        ("outcomes", Json::arr(rows)),
+        artifact::phases(phases),
+    ])
 }
 
 #[cfg(test)]
@@ -409,7 +338,7 @@ mod tests {
                 wall: std::time::Duration::from_millis(400),
             },
         ];
-        let json = resilience_json(&[42], &report, true, &phases);
+        let json = resilience_json(&[42], &report, true, &phases).render();
         assert!(json.contains("\"seeds\": [42]"));
         assert!(json.contains("\"campaigns\": [\"restart-under-corruption\""));
         assert!(json.contains("\"hard_goal_violations\": 0"));

@@ -46,6 +46,7 @@
 //! scenario, asserting the distilled-template tails bracket the real
 //! ones.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,6 +62,7 @@ use smartconf_runtime::{
 };
 use smartconf_workload::{KeyDistribution, TrafficShape};
 
+use crate::artifact::{self, Better, CheckVerdict, Field, Gate, Json};
 use crate::chaos::HARD_GOAL_SCENARIOS;
 use crate::fleet::{fleet_scenarios, FleetPhase};
 
@@ -686,7 +688,7 @@ pub fn cross_check_failures(report: &SoakReport, cross: &CrossCheckReport) -> Ve
     failures
 }
 
-/// Renders the `BENCH_soak.json` artifact.
+/// Builds the `BENCH_soak.json` artifact.
 pub fn soak_json(
     config: &SoakConfig,
     scenarios: &[SoakScenario],
@@ -694,243 +696,206 @@ pub fn soak_json(
     cross: Option<&CrossCheckReport>,
     reports_identical: bool,
     phases: &[FleetPhase],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!(
-        "  \"tenants_per_scenario\": {},\n",
-        config.tenants
-    ));
-    out.push_str(&format!("  \"scenarios\": {},\n", scenarios.len()));
-    out.push_str(&format!(
-        "  \"horizon_secs\": {},\n",
-        config.horizon_us / 1_000_000
-    ));
-    let periods: Vec<String> = config
-        .periods_us
-        .iter()
-        .map(|p| (p / 1_000_000).to_string())
-        .collect();
-    out.push_str(&format!(
-        "  \"cohort_periods_secs\": [{}],\n",
-        periods.join(", ")
-    ));
-    let arms: Vec<String> = config
-        .arms
-        .iter()
-        .map(|a| format!("\"{}\"", arm_label(*a)))
-        .collect();
-    out.push_str(&format!("  \"arms\": [{}],\n", arms.join(", ")));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        FleetExecutor::available_parallelism().threads()
-    ));
-    out.push_str(
-        "  \"note\": \"rate figures are host-dependent; a 1-CPU host cannot \
-         show parallel speedup. Committed numbers come from the dev \
-         container; the --check gate tolerates small cross-platform tail \
-         drift (libm pow ulps in the zipfian weight draw)\",\n",
-    );
-    out.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-    let serial = phases.iter().find(|p| p.threads == 1);
+) -> Json {
+    let mut doc = Json::obj([
+        ("seed", config.seed.into()),
+        ("tenants_per_scenario", config.tenants.into()),
+        ("scenarios", scenarios.len().into()),
+        ("horizon_secs", (config.horizon_us / 1_000_000).into()),
+        (
+            "cohort_periods_secs",
+            Json::arr(config.periods_us.iter().map(|p| p / 1_000_000)),
+        ),
+        ("arms", Json::arr(config.arms.iter().map(|a| arm_label(*a)))),
+        artifact::host_cpus(),
+        (
+            "note",
+            "rate figures are host-dependent; a 1-CPU host cannot show parallel speedup. \
+             Committed numbers come from the dev container; the --check gate tolerates \
+             small cross-platform tail drift (libm pow ulps in the zipfian weight draw)"
+                .into(),
+        ),
+        ("reports_identical", reports_identical.into()),
+    ]);
     let total_tenants = config.tenants * scenarios.len() as u64;
-    if let Some(s) = serial {
+    if let Some(s) = phases.iter().find(|p| p.threads == 1) {
         let wall = s.wall.as_secs_f64();
         if wall > 0.0 {
-            out.push_str(&format!(
-                "  \"tenants_per_sec\": {:.0},\n",
-                total_tenants as f64 / wall
-            ));
-            out.push_str(&format!(
-                "  \"senses_per_sec\": {:.0},\n",
-                report.total_senses() as f64 / wall
-            ));
+            doc.push(
+                "tenants_per_sec",
+                Json::fixed(total_tenants as f64 / wall, 0),
+            );
+            let senses = report.total_senses() as f64 / wall;
+            doc.push("senses_per_sec", Json::fixed(senses, 0));
         }
     }
-    out.push_str(&format!("  \"total_senses\": {},\n", report.total_senses()));
-    let breaches: Vec<String> = report
-        .hard_gate_breaches()
-        .iter()
-        .map(|s| format!("\"{s}\""))
-        .collect();
-    out.push_str(&format!(
-        "  \"hard_breaches\": [{}],\n",
-        breaches.join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"unrecovered_hard_tenants\": {},\n",
-        report.unrecovered_hard_tenants()
-    ));
-    out.push_str("  \"phases\": [\n");
-    let phase_lines: Vec<String> = phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"name\": \"{}\", \"threads\": {}, \"wall_clock_secs\": {:.3}}}",
-                p.name,
-                p.threads,
-                p.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    out.push_str(&phase_lines.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"cohorts\": [\n");
+    doc.push("total_senses", report.total_senses().into());
+    doc.push("hard_breaches", Json::arr(report.hard_gate_breaches()));
+    let unrecovered = report.unrecovered_hard_tenants();
+    doc.push("unrecovered_hard_tenants", unrecovered.into());
+    let (key, value) = artifact::phases(phases);
+    doc.push(key, value);
     let n_arms = config.arms.len().max(1);
-    let mut lines = Vec::new();
+    let mut cohorts = Vec::new();
     for (i, s) in report.scenarios.iter().enumerate() {
         let scen = &scenarios[i / n_arms];
         for c in &s.cohorts {
-            let mut line = format!(
-                "    {{\"scenario\": \"{}\", \"arm\": \"{}\", \"hard\": {}, \
-                 \"delta\": {:.4}, \"setup_secs\": {:.3}, \"period_secs\": {}, \
-                 \"tenants\": {}, \"senses\": {}, \"violations\": {}, \
-                 \"p50\": {:.4}, \"p99\": {:.4}, \"p999\": {:.4}, \"max\": {:.4}",
-                s.scenario,
-                s.arm,
-                s.hard,
-                s.delta,
-                scen.setup_secs,
-                c.period_us / 1_000_000,
-                c.tenants,
-                c.senses,
-                c.violations,
-                c.p50,
-                c.p99,
-                c.p999,
-                c.max
-            );
+            let mut row = Json::obj([
+                ("scenario", s.scenario.as_str().into()),
+                ("arm", s.arm.as_str().into()),
+                ("hard", s.hard.into()),
+                ("delta", Json::fixed(s.delta, 4)),
+                ("setup_secs", Json::fixed(scen.setup_secs, 3)),
+                ("period_secs", (c.period_us / 1_000_000).into()),
+                ("tenants", c.tenants.into()),
+                ("senses", c.senses.into()),
+                ("violations", c.violations.into()),
+                ("p50", Json::fixed(c.p50, 4)),
+                ("p99", Json::fixed(c.p99, 4)),
+                ("p999", Json::fixed(c.p999, 4)),
+                ("max", Json::fixed(c.max, 4)),
+            ]);
             if s.arm != "clean" {
-                line.push_str(&format!(
-                    ", \"reengages\": {}, \"reengage_p99\": {:.4}, \
-                     \"burst_p99\": {:.4}, \"recoveries\": {}, \"mttr\": {:.4}, \
-                     \"recovery_p99\": {:.4}, \"unrecovered\": {}",
-                    c.reengages,
-                    c.reengage_p99,
-                    c.burst_p99,
-                    c.recoveries,
-                    c.mttr,
-                    c.recovery_p99,
-                    c.unrecovered
-                ));
+                row.push("reengages", c.reengages.into());
+                row.push("reengage_p99", Json::fixed(c.reengage_p99, 4));
+                row.push("burst_p99", Json::fixed(c.burst_p99, 4));
+                row.push("recoveries", c.recoveries.into());
+                row.push("mttr", Json::fixed(c.mttr, 4));
+                row.push("recovery_p99", Json::fixed(c.recovery_p99, 4));
+                row.push("unrecovered", c.unrecovered.into());
             }
-            line.push('}');
-            lines.push(line);
+            cohorts.push(row);
         }
     }
-    out.push_str(&lines.join(",\n"));
+    doc.push("cohorts", Json::Arr(cohorts));
     if let Some(cross) = cross {
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"cross_check_margin\": {CROSS_CHECK_MARGIN},\n"
-        ));
-        out.push_str("  \"cross_check\": [\n");
-        let cross_lines: Vec<String> = cross
-            .scenarios
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"scenario\": \"{}\", \"hard\": {}, \"lambda\": {:.4}, \
-                     \"tenants\": {}, \"senses\": {}, \"real_p50\": {:.4}, \
-                     \"real_p99\": {:.4}, \"real_max\": {:.4}}}",
-                    s.scenario,
-                    s.hard,
-                    s.lambda,
-                    s.tenants,
-                    s.senses,
-                    s.real_p50,
-                    s.real_p99,
-                    s.real_max
-                )
-            })
-            .collect();
-        out.push_str(&cross_lines.join(",\n"));
+        doc.push(
+            "cross_check_margin",
+            Json::Num(CROSS_CHECK_MARGIN.to_string()),
+        );
+        let rows = cross.scenarios.iter().map(|s| {
+            Json::obj([
+                ("scenario", s.scenario.as_str().into()),
+                ("hard", s.hard.into()),
+                ("lambda", Json::fixed(s.lambda, 4)),
+                ("tenants", s.tenants.into()),
+                ("senses", s.senses.into()),
+                ("real_p50", Json::fixed(s.real_p50, 4)),
+                ("real_p99", Json::fixed(s.real_p99, 4)),
+                ("real_max", Json::fixed(s.real_max, 4)),
+            ])
+        });
+        doc.push("cross_check", Json::arr(rows));
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    doc
 }
 
-/// Every value of `"key": <number>` in `json`, in document order.
-fn numbers_after(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].trim().parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
+/// One artifact's cohorts keyed by `(scenario, arm, period_secs)`,
+/// rendered `scenario/arm/period s` for failure lines, in order.
+fn keyed_cohorts<'a>(root: &Field<'a>) -> Result<Vec<(String, Field<'a>)>, String> {
+    root.get("cohorts")?
+        .items()?
+        .into_iter()
+        .map(|c| {
+            let key = format!(
+                "{}/{}/{}s",
+                c.get("scenario")?.str()?,
+                c.get("arm")?.str()?,
+                c.get("period_secs")?.f64()?
+            );
+            Ok((key, c))
+        })
+        .collect()
 }
 
-/// Compares a fresh `BENCH_soak.json` against the committed baseline.
-/// Returns human-readable failure lines (empty = pass). Gates:
+/// Compares a fresh `BENCH_soak.json` against the committed baseline
+/// read from `baseline_path`. Returns human-readable failure lines
+/// (empty = pass); a baseline missing a key or holding a wrong-typed
+/// value yields one "malformed baseline" line naming the file and key.
+/// Gates:
 ///
-/// 1. same run shape (tenants per scenario, cohort count) — otherwise
-///    the baseline is stale and must be regenerated;
+/// 1. same run shape (tenants per scenario, the same set of
+///    `(scenario, arm, period_secs)` cohorts) — otherwise the baseline
+///    is stale and must be regenerated;
 /// 2. zero hard-goal cohort breaches in the fresh run;
 /// 3. zero unrecovered hard-goal tenants in the fresh run (the
 ///    fault-arm zero-tolerance gate);
-/// 4. every cohort p99/p999 — and, when fault arms ran, every
-///    fault-arm mttr/recovery_p99 — within [`TAIL_TOLERANCE`] of
-///    baseline;
+/// 4. every cohort p99/p999 — and, on fault-arm cohorts, mttr and
+///    recovery_p99 — within [`TAIL_TOLERANCE`] of the baseline cohort
+///    with the same key;
 /// 5. tenants/sec at least [`RATE_FLOOR`] × baseline.
-pub fn check_soak(fresh: &str, baseline: &str) -> Vec<String> {
-    let mut failures = Vec::new();
+pub fn check_soak(fresh: &Json, baseline: &Json, baseline_path: &str) -> Vec<String> {
+    let source = format!("baseline {baseline_path}");
+    let fresh = Field::root("fresh soak artifact", fresh);
+    soak_gates(&fresh, &Field::root(&source, baseline), baseline_path).unwrap_or_else(|e| vec![e])
+}
 
-    let shape = |json: &str| {
-        (
-            numbers_after(json, "tenants_per_scenario"),
-            numbers_after(json, "p99").len(),
-        )
-    };
-    let (fresh_tenants, fresh_cohorts) = shape(fresh);
-    let (base_tenants, base_cohorts) = shape(baseline);
-    if fresh_tenants != base_tenants || fresh_cohorts != base_cohorts {
-        failures.push(format!(
-            "baseline stale: shape {:?}/{} cohorts vs fresh {:?}/{} — regenerate BENCH_soak.json",
-            base_tenants, base_cohorts, fresh_tenants, fresh_cohorts
-        ));
-        return failures;
+fn soak_gates(fresh: &Field, base: &Field, baseline_path: &str) -> Result<Vec<String>, String> {
+    let tenants = fresh.get("tenants_per_scenario")?.f64()?;
+    let base_tenants = base.get("tenants_per_scenario")?.f64()?;
+    let fresh_cohorts = keyed_cohorts(fresh)?;
+    let base_cohorts = keyed_cohorts(base)?;
+    let base_by_key: HashMap<&str, &Field> =
+        base_cohorts.iter().map(|(k, c)| (k.as_str(), c)).collect();
+    let unmatched = fresh_cohorts
+        .iter()
+        .find(|(k, _)| !base_by_key.contains_key(k.as_str()));
+    if tenants != base_tenants || fresh_cohorts.len() != base_cohorts.len() || unmatched.is_some() {
+        return Ok(vec![format!(
+            "baseline stale: {base_tenants} tenants/scenario and {} cohorts vs fresh {tenants} \
+             and {}{} — regenerate {baseline_path}",
+            base_cohorts.len(),
+            fresh_cohorts.len(),
+            unmatched.map_or(String::new(), |(k, _)| format!(
+                "; cohort {k} not in baseline"
+            )),
+        )]);
     }
 
-    if !fresh.contains("\"hard_breaches\": []") {
+    let mut failures = Vec::new();
+    if !fresh.get("hard_breaches")?.items()?.is_empty() {
         failures.push("hard-goal cohort gate breached in fresh run".to_string());
     }
-
-    if let Some(u) = numbers_after(fresh, "unrecovered_hard_tenants").first() {
-        if *u > 0.0 {
-            failures.push(format!(
-                "{u:.0} unrecovered hard-goal tenants in fresh run (gate is zero)"
-            ));
-        }
+    let unrecovered = fresh.get("unrecovered_hard_tenants")?.f64()?;
+    if Gate::Exact(0.0).check(unrecovered, Better::Lower) != CheckVerdict::Ok {
+        failures.push(format!(
+            "{unrecovered:.0} unrecovered hard-goal tenants in fresh run (gate is zero)"
+        ));
     }
-
-    for key in ["p99", "p999", "mttr", "recovery_p99"] {
-        let f = numbers_after(fresh, key);
-        let b = numbers_after(baseline, key);
-        for (i, (fv, bv)) in f.iter().zip(&b).enumerate() {
-            let scale = bv.abs().max(1e-9);
-            if ((fv - bv) / scale).abs() > TAIL_TOLERANCE {
+    for (key, cohort) in &fresh_cohorts {
+        // mttr and recovery_p99 exist on fault-arm cohorts only.
+        for tail in ["p99", "p999", "mttr", "recovery_p99"] {
+            let Some(fresh_tail) = cohort.opt(tail)? else {
+                continue;
+            };
+            let (f, b) = (
+                fresh_tail.f64()?,
+                base_by_key[key.as_str()].get(tail)?.f64()?,
+            );
+            let band = Gate::Band {
+                reference: b,
+                tol: TAIL_TOLERANCE,
+            };
+            if band.check(f, Better::Lower) != CheckVerdict::Ok {
                 failures.push(format!(
-                    "cohort #{i} {key} drifted: fresh {fv} vs baseline {bv} (tol {TAIL_TOLERANCE})"
+                    "cohort {key} {tail} drifted: fresh {f} vs baseline {b} (tol {TAIL_TOLERANCE})"
                 ));
             }
         }
     }
-
-    let fresh_rate = numbers_after(fresh, "tenants_per_sec");
-    let base_rate = numbers_after(baseline, "tenants_per_sec");
-    if let (Some(f), Some(b)) = (fresh_rate.first(), base_rate.first()) {
-        if *f < RATE_FLOOR * b {
+    if let (Some(f), Some(b)) = (fresh.opt("tenants_per_sec")?, base.opt("tenants_per_sec")?) {
+        let (f, b) = (f.f64()?, b.f64()?);
+        let floor = Gate::Band {
+            reference: b,
+            tol: 1.0 - RATE_FLOOR,
+        };
+        if floor.check(f, Better::Higher) == CheckVerdict::Regression {
             failures.push(format!(
                 "tenants/sec collapsed: fresh {f:.0} vs baseline {b:.0} (floor {RATE_FLOOR}×)"
             ));
         }
     }
-    failures
+    Ok(failures)
 }
 
 #[cfg(test)]
@@ -1155,7 +1120,8 @@ mod tests {
             threads: 1,
             wall: Duration::from_millis(500),
         }];
-        let json = soak_json(&config, &scenarios, &report, None, true, &phases);
+        let doc = soak_json(&config, &scenarios, &report, None, true, &phases);
+        let json = doc.render();
         assert!(json.contains("\"tenants_per_scenario\": 200"));
         assert!(json.contains("\"reports_identical\": true"));
         assert!(json.contains("\"p999\""));
@@ -1164,14 +1130,23 @@ mod tests {
         );
         assert!(json.contains("\"unrecovered_hard_tenants\": "));
         assert!(json.contains("\"mttr\""));
+        let check = |fresh: &str| check_soak(&Json::parse(fresh).unwrap(), &doc, "B.json");
         // A run checked against itself passes.
-        assert_eq!(check_soak(&json, &json), Vec::<String>::new());
-        // A drifted tail fails.
-        let drifted = json.replacen("\"p99\": ", "\"p99\": 9", 1);
-        assert!(!check_soak(&drifted, &json).is_empty());
-        // A drifted recovery tail fails too.
-        let slow = json.replacen("\"mttr\": ", "\"mttr\": 9", 1);
-        assert!(!check_soak(&slow, &json).is_empty());
+        assert_eq!(check(&json), Vec::<String>::new());
+        // A drifted tail fails, named by its cohort key.
+        let drifted = check(&json.replacen("\"p99\": ", "\"p99\": 9", 1));
+        assert_eq!(drifted.len(), 1, "{drifted:?}");
+        assert!(
+            drifted[0].starts_with("cohort TOYA/clean/900s p99 drifted"),
+            "{drifted:?}"
+        );
+        // A drifted recovery tail fails too, named by the fault-arm
+        // cohort it belongs to (not its rank among fault-arm cohorts).
+        let slow = check(&json.replacen("\"mttr\": ", "\"mttr\": 9", 1));
+        assert!(
+            slow[0].starts_with("cohort TOYA/dropout/900s mttr drifted"),
+            "{slow:?}"
+        );
         // Unrecovered hard-goal tenants fail regardless of the baseline.
         let stuck = json.replacen(
             "\"unrecovered_hard_tenants\": 0",
@@ -1179,9 +1154,7 @@ mod tests {
             1,
         );
         assert_ne!(stuck, json, "expected a zero unrecovered count to rewrite");
-        assert!(check_soak(&stuck, &json)
-            .iter()
-            .any(|f| f.contains("unrecovered")));
+        assert!(check(&stuck).iter().any(|f| f.contains("unrecovered")));
         // A different shape reports a stale baseline.
         let other = soak_json(
             &SoakConfig {
@@ -1194,15 +1167,19 @@ mod tests {
             true,
             &phases,
         );
-        let stale = check_soak(&other, &json);
+        let stale = check(&other.render());
         assert!(stale.iter().any(|f| f.contains("stale")), "{stale:?}");
-    }
-
-    #[test]
-    fn numbers_after_walks_document_order() {
-        let json = "{\"p99\": 1.25, \"x\": {\"p99\": 2.5}, \"p999\": 3.0}";
-        assert_eq!(numbers_after(json, "p99"), vec![1.25, 2.5]);
-        assert_eq!(numbers_after(json, "p999"), vec![3.0]);
-        assert!(numbers_after(json, "missing").is_empty());
+        // So does a cohort the baseline does not have.
+        let reshaped = check(&json.replacen("\"period_secs\": 900", "\"period_secs\": 901", 1));
+        assert!(
+            reshaped[0].contains("cohort TOYA/clean/901s not in baseline"),
+            "{reshaped:?}"
+        );
+        // A wrong-typed baseline value is malformed, not a pass.
+        let bad = Json::parse(&json.replacen("\"p999\": ", "\"p999\": \"x\", \"y\": ", 1)).unwrap();
+        assert_eq!(
+            check_soak(&doc, &bad, "B.json"),
+            vec!["malformed baseline B.json: `cohorts[0].p999` is not a number".to_string()]
+        );
     }
 }
