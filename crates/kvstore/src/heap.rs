@@ -1,7 +1,5 @@
 //! A JVM-style heap with named components and a hard capacity.
 
-use std::collections::BTreeMap;
-
 /// Tracks heap usage as a set of named components against a fixed
 /// capacity.
 ///
@@ -9,6 +7,13 @@ use std::collections::BTreeMap;
 /// stay below the JVM limit"; exceeding [`HeapModel::capacity_bytes`] is
 /// an OutOfMemoryError, which in the simulators crashes the server (the
 /// run halts and is marked failed).
+///
+/// The components live in a small vector sorted by name, next to a cached
+/// total. The total is the saturating sum of the components taken in name
+/// order, refreshed on every [`HeapModel::set_component`], so every read
+/// ([`HeapModel::used_bytes`], [`HeapModel::is_oom`], …) is O(1). Two
+/// heaps with the same components compare equal whatever order they were
+/// set in.
 ///
 /// # Example
 ///
@@ -26,7 +31,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HeapModel {
     capacity: u64,
-    components: BTreeMap<&'static str, u64>,
+    /// `(name, bytes)`, sorted by name; at most a handful of entries.
+    components: Vec<(&'static str, u64)>,
+    /// Saturating sum of `components` in name order.
+    used: u64,
 }
 
 impl HeapModel {
@@ -39,7 +47,8 @@ impl HeapModel {
         assert!(capacity > 0, "heap capacity must be positive");
         HeapModel {
             capacity,
-            components: BTreeMap::new(),
+            components: Vec::new(),
+            used: 0,
         }
     }
 
@@ -50,19 +59,27 @@ impl HeapModel {
 
     /// Sets a named component's usage.
     pub fn set_component(&mut self, name: &'static str, bytes: u64) {
-        self.components.insert(name, bytes);
+        match self.components.binary_search_by(|&(n, _)| n.cmp(name)) {
+            Ok(i) => self.components[i].1 = bytes,
+            Err(i) => self.components.insert(i, (name, bytes)),
+        }
+        self.used = self
+            .components
+            .iter()
+            .fold(0u64, |acc, &(_, v)| acc.saturating_add(v));
     }
 
     /// Reads a named component's usage (0 if never set).
     pub fn component(&self, name: &str) -> u64 {
-        self.components.get(name).copied().unwrap_or(0)
+        self.components
+            .binary_search_by(|&(n, _)| n.cmp(name))
+            .map_or(0, |i| self.components[i].1)
     }
 
-    /// Total used bytes across components (saturating).
+    /// Total used bytes across components (saturating, summed in
+    /// component-name order).
     pub fn used_bytes(&self) -> u64 {
-        self.components
-            .values()
-            .fold(0u64, |acc, &v| acc.saturating_add(v))
+        self.used
     }
 
     /// Used bytes as megabytes (decimal MB, matching the paper's figures).
@@ -139,5 +156,90 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
         let _ = HeapModel::new(0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::ops::{Range, RangeInclusive};
+
+    /// Every component name the simulators set.
+    const NAMES: [&str; 7] = [
+        "base",
+        "churn",
+        "memtable",
+        "memstore",
+        "read_cache",
+        "rpc_queue",
+        "response_queue",
+    ];
+
+    /// One byte draw: a selector, then a plant-sized value, one within
+    /// 1 000 of `u64::MAX`, and any `u64`.
+    type Draw = (u8, u64, u64, u64);
+
+    fn draw() -> (
+        Range<u8>,
+        Range<u64>,
+        RangeInclusive<u64>,
+        RangeInclusive<u64>,
+    ) {
+        (
+            0..3,
+            0..2_000_000_000,
+            (u64::MAX - 1_000)..=u64::MAX,
+            0..=u64::MAX,
+        )
+    }
+
+    fn pick((kind, small, huge, any): Draw) -> u64 {
+        match kind {
+            0 => small,
+            1 => huge,
+            _ => any,
+        }
+    }
+
+    proptest! {
+        /// Any sequence of sets reads back exactly like a name-keyed map
+        /// summed with a saturating fold, and the final heap equals one
+        /// filled with the same values in the opposite order.
+        #[test]
+        fn matches_btreemap_reference(
+            capacity in draw(),
+            sets in prop::collection::vec((0..NAMES.len(), draw()), 0..40),
+        ) {
+            let capacity = pick(capacity).max(1);
+            let mut heap = HeapModel::new(capacity);
+            let mut reference: BTreeMap<&'static str, u64> = BTreeMap::new();
+            for (i, v) in sets {
+                let v = pick(v);
+                heap.set_component(NAMES[i], v);
+                reference.insert(NAMES[i], v);
+                let used = reference.values().fold(0u64, |acc, &v| acc.saturating_add(v));
+                prop_assert_eq!(heap.used_bytes(), used);
+                prop_assert_eq!(heap.is_oom(), used > capacity);
+                prop_assert_eq!(heap.free_bytes(), capacity.saturating_sub(used));
+                prop_assert_eq!(
+                    heap.utilization().to_bits(),
+                    (used as f64 / capacity as f64).to_bits()
+                );
+                for name in NAMES {
+                    prop_assert_eq!(
+                        heap.component(name),
+                        reference.get(name).copied().unwrap_or(0)
+                    );
+                }
+            }
+
+            let mut reversed = HeapModel::new(capacity);
+            for (&name, &v) in reference.iter().rev() {
+                reversed.set_component(name, v);
+            }
+            prop_assert_eq!(&reversed, &heap);
+        }
     }
 }

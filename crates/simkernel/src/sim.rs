@@ -28,7 +28,9 @@ pub struct Context<'a, E> {
     now: SimTime,
     rng: &'a mut SimRng,
     trace: &'a mut TraceLog,
-    pending: Vec<(SimTime, E)>,
+    /// The simulation's reusable scheduling buffer: empty on entry to the
+    /// handler, drained into the calendar after it returns.
+    pending: &'a mut Vec<(SimTime, E)>,
     halt: bool,
 }
 
@@ -118,6 +120,9 @@ pub struct Simulation<M: Model> {
     model: M,
     clock: SimTime,
     queue: BinaryHeap<Scheduled<M::Event>>,
+    /// Events scheduled by the running handler. Owned here and reused
+    /// across steps so that a rescheduling event allocates nothing.
+    pending: Vec<(SimTime, M::Event)>,
     seq: u64,
     rng: SimRng,
     trace: TraceLog,
@@ -143,6 +148,7 @@ impl<M: Model> Simulation<M> {
             model,
             clock: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            pending: Vec::new(),
             seq: 0,
             rng: SimRng::seed_from_u64(seed),
             trace: TraceLog::disabled(),
@@ -241,12 +247,12 @@ impl<M: Model> Simulation<M> {
             now: self.clock,
             rng: &mut self.rng,
             trace: &mut self.trace,
-            pending: Vec::new(),
+            pending: &mut self.pending,
             halt: false,
         };
         self.model.handle(next.event, &mut ctx);
-        let Context { pending, halt, .. } = ctx;
-        for (at, event) in pending {
+        let halt = ctx.halt;
+        for (at, event) in self.pending.drain(..) {
             self.seq += 1;
             self.queue.push(Scheduled {
                 at,
@@ -301,6 +307,13 @@ mod tests {
     enum Ev {
         Mark(u32),
         Chain(u32),
+        /// Schedules `Mark(first..first + n)` all at `now + 5µs`, then
+        /// halts if asked.
+        Fan {
+            first: u32,
+            n: u32,
+            halt: bool,
+        },
     }
 
     impl Model for Recorder {
@@ -319,8 +332,20 @@ mod tests {
                         ctx.schedule_in(SimDuration::from_micros(10), Ev::Chain(n - 1));
                     }
                 }
+                Ev::Fan { first, n, halt } => {
+                    for id in first..first + n {
+                        ctx.schedule_in(SimDuration::from_micros(5), Ev::Mark(id));
+                    }
+                    if halt {
+                        ctx.halt();
+                    }
+                }
             }
         }
+    }
+
+    fn fan(first: u32, n: u32, halt: bool) -> Ev {
+        Ev::Fan { first, n, halt }
     }
 
     fn recorder() -> Recorder {
@@ -372,6 +397,38 @@ mod tests {
         assert!(sim.is_halted());
         assert_eq!(sim.model().seen, vec![(10, 1)]);
         assert!(!sim.step());
+    }
+
+    #[test]
+    fn same_instant_schedules_fire_fifo_across_steps() {
+        let mut sim = Simulation::new(recorder(), 1);
+        sim.schedule_at(SimTime::ZERO, fan(1, 4, false));
+        // A second fan at the same instant: its marks queue behind the first's.
+        sim.schedule_at(SimTime::ZERO, fan(10, 2, false));
+        assert!(sim.step());
+        assert!(sim.step());
+        for _ in 0..6 {
+            assert!(sim.step());
+        }
+        assert!(!sim.step());
+        assert_eq!(
+            sim.model().seen,
+            vec![(5, 1), (5, 2), (5, 3), (5, 4), (5, 10), (5, 11)]
+        );
+    }
+
+    #[test]
+    fn halt_after_scheduling_leaves_nothing_behind() {
+        let mut sim = Simulation::new(recorder(), 1);
+        sim.schedule_at(SimTime::from_micros(10), fan(1, 3, true));
+        sim.schedule_at(SimTime::from_micros(20), Ev::Mark(9));
+        assert!(sim.step());
+        assert!(sim.is_halted());
+        assert_eq!(sim.next_event_time(), None);
+        assert!(sim.pending.is_empty());
+        assert!(!sim.step());
+        assert!(sim.model().seen.is_empty());
+        assert_eq!(sim.steps(), 1);
     }
 
     #[test]
